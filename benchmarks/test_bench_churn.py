@@ -1,13 +1,14 @@
-"""Churn-aware serving benchmark: epoch-batched loop vs reference, crashing fleet.
+"""Churn-aware serving benchmark: batched (array) loop vs reference, crashing fleet.
 
 The fault subsystem's gate: a 4-tenant open-loop workload on a generated
 16-device fleet is served through a seeded churn timeline — crashes, a
 graceful leave and a rejoin, timed to kill work in flight — once in
 ``reference`` mode (one scalar evaluation per request attempt, the
-semantics oracle) and once in ``batched`` mode, where the epoch-batched
-loop must bound its grouping at fault-event boundaries, resolve killed
-attempts through the retry policy on replanned survivor strategies, and
-still agree with the oracle float for float.
+semantics oracle) and once in ``batched`` mode, which is the array engine
+(:class:`~repro.serving.engine.ArrayServingEngine`): it must bound its
+speculation windows at fault-event boundaries, resolve killed attempts
+through the retry policy on replanned survivor strategies, and still agree
+with the oracle float for float.
 
 The gate asserts the batched loop serves the churned workload at least
 ``MIN_SPEEDUP`` (3x) faster in wall time and that the two loops' reports —
@@ -97,8 +98,9 @@ def test_bench_churned_event_loop(benchmark):
             degradation=DEGRADE,
         )
 
-    # Batched: epoch grouping bounded at fault-event boundaries, fresh batch
-    # evaluator each round so the speedup includes every cold miss.
+    # Batched: the array engine, speculation bounded at fault-event
+    # boundaries; fresh batch evaluator each round so the speedup includes
+    # every cold miss.
     def run_batched():
         simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
         return simulator.run(

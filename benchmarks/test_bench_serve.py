@@ -1,14 +1,14 @@
-"""Serving-loop benchmark: requests/sec, epoch-batched vs naive reference.
+"""Serving-loop benchmark: requests/sec, batched (array) loop vs naive reference.
 
 The serving subsystem's gate: a 4-tenant open-loop workload on a generated
 32-device fleet (the tentpole shape — several methods' plans sharing one
 Table-III-scale cluster under Poisson traffic) is driven once through the
 naive per-request reference loop (one scalar
 :meth:`~repro.runtime.evaluator.PlanEvaluator.evaluate` call per request)
-and once through the epoch-batched loop
-(:class:`~repro.serving.simulator.ServingSimulator` over
+and once through the batched loop, which is the array engine
+(:class:`~repro.serving.engine.ArrayServingEngine` over
 :class:`~repro.runtime.batch.BatchPlanEvaluator` — signature-grouped
-``evaluate_plans`` epochs with the plan LRU carrying steady-state traffic).
+``evaluate_plans`` epochs, NumPy column commits and epoch speculation).
 
 The gate asserts the batched event loop serves the workload at least
 ``MIN_SPEEDUP`` (5x) faster in wall time, and that the two loops' reports
@@ -81,7 +81,7 @@ def test_bench_serve_event_loop(benchmark):
         simulator = ServingSimulator(PlanEvaluator(devices, network))
         return simulator.run(tenants, duration_s=DURATION_S, mode="reference")
 
-    # Epoch-batched loop: fresh batch evaluator each round, so the measured
+    # Batched (array) loop: fresh batch evaluator each round, so the measured
     # speedup includes the cold first epoch (no cross-round cache carry).
     def run_batched():
         simulator = ServingSimulator(BatchPlanEvaluator(devices, network))

@@ -23,7 +23,8 @@ Inference on Distributed Edge Devices* (IPDPS 2022).  Subpackages:
 ``repro.serving``
     Multi-tenant open-loop serving: arrival processes behind the
     ``traffic:`` grammar, tenants with SLOs and admission control, and the
-    epoch-batched serving event loop.
+    serving loops (the array engine, the contended loop and their scalar
+    reference loops).
 ``repro.experiments``
     Scenario catalogue (Tables I-III) and regeneration of every evaluation
     figure (Figs. 4-15).

@@ -16,8 +16,8 @@ Five subcommands cover the common workflows without writing Python:
 ``serve``
     Simulate multi-tenant open-loop serving: several methods' plans share one
     fleet under ``traffic:`` arrival processes with per-tenant SLOs, served
-    through the epoch-batched event loop of
-    :class:`~repro.serving.simulator.ServingSimulator`.
+    through :class:`~repro.serving.simulator.ServingSimulator` (the array
+    engine by default, the contended loop with ``--contention``).
 ``analyze``
     Attribute every request's critical-path latency to queue / gate /
     per-lane compute / send / recv / stall segments — from an exported
@@ -47,8 +47,8 @@ Examples
     python -m repro.cli serve --scenario DB --contention --discipline wfq \
         --weight 3 --weight 1 --max-inflight 4 --report-json serve.json
     python -m repro.cli serve --scenario DB --figure --figure-rates 0.5,1,2,4
-    python -m repro.cli serve --scenario gen:n=32,seed=7 --engine array \
-        --mode parity --duration 60
+    python -m repro.cli serve --scenario gen:n=32,seed=7 --mode parity \
+        --duration 60
     python -m repro.cli serve --scenario gen:n=16,seed=7 --duration 30 \
         --churn churn:crashes=2,seed=7 --retry-max 3 --degrade-min-live 0.5
     python -m repro.cli serve --scenario DB --contention --alerts \
@@ -74,6 +74,28 @@ from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.serialization import evaluation_to_dict, save_plan
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (argparse names the flag on error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number > 0 (argparse names the flag on error)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _parse_device_specs(specs: Sequence[str]) -> List[tuple]:
@@ -577,7 +599,6 @@ def _cmd_serve_plan_capacity(
             duration_s=args.duration,
             policy=policy,
             weight=weights,
-            engine=args.engine,
             slots=args.slots or 1,
             faults=faults,
             retry=retry,
@@ -643,7 +664,6 @@ def _cmd_serve_autoscale(
             queue_capacity=None,
             policy=policy,
             weight=weights,
-            engine=args.engine,
             slots=args.slots or 1,
             faults=faults,
             retry=retry,
@@ -684,7 +704,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadlines = _broadcast(args.deadline_ms, len(parsed), 1000.0, "--deadline-ms")
         capacities = _broadcast(args.queue_capacity, len(parsed), None, "--queue-capacity")
         weights = _broadcast(args.weight, len(parsed), 1.0, "--weight")
-        slot_counts = [int(s) for s in _broadcast(args.slots, len(parsed), 1, "--slots")]
+        slot_counts = _broadcast(args.slots, len(parsed), 1, "--slots")
         if any(w <= 0 for w in weights):
             raise ValueError(f"--weight values must be > 0, got {weights}")
     except ValueError as exc:
@@ -817,29 +837,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 tenants,
                 duration_s=args.duration,
                 policy=policy,
-                engine=args.engine,
                 faults=faults,
                 retry=retry,
                 degradation=degradation,
                 tracer=tracer,
             )
-            print(
-                f"parity: {args.engine} engine batched loop is bit-identical "
-                "to the reference loop"
-            )
+            print("parity: batched loop is bit-identical to the reference loop")
             if metrics is not None:
                 # run_with_parity returns the committed report; derive the
                 # registry from it exactly as ServingSimulator.run would.
                 record_serving_report(metrics, report)
         else:
-            if args.engine == "array" and args.mode == "reference":
-                print(
-                    "--engine array has no reference mode; the reference loop "
-                    "is the object-engine oracle (use --mode parity to check "
-                    "the array engine against it)",
-                    file=sys.stderr,
-                )
-                return 2
             simulator = ServingSimulator(evaluator)
             if profiler is not None:
                 simulator.profiler = profiler
@@ -848,7 +856,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 duration_s=args.duration,
                 mode=args.mode,
                 policy=policy,
-                engine=args.engine,
                 faults=faults,
                 retry=retry,
                 degradation=degradation,
@@ -946,7 +953,6 @@ def _analyze_inline_run(args: argparse.Namespace):
         tenants,
         duration_s=args.duration,
         policy=policy,
-        engine=args.engine,
         faults=faults,
         retry=retry,
         tracer=tracer,
@@ -1085,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--rate", type=float, default=2.0,
                          help="default Poisson arrival rate (req/s) when no "
                               "--traffic is given")
-    p_serve.add_argument("--deadline-ms", action="append", type=float, default=None,
+    p_serve.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                          help="repeatable per-tenant SLO deadline (ms); default 1000")
     p_serve.add_argument("--queue-capacity", action="append", type=int, default=None,
                          help="repeatable per-tenant admission bound (waiting "
@@ -1094,15 +1100,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open-loop arrival horizon (simulated seconds)")
     p_serve.add_argument("--mode", choices=["batched", "reference", "parity"],
                          default="batched",
-                         help="event loop: epoch-batched (default), naive "
-                              "per-request reference, or parity (run both and "
-                              "assert bit-identical)")
-    p_serve.add_argument("--engine", choices=["object", "array"], default="object",
-                         help="execution engine: per-tenant object loops "
-                              "(default) or the vectorised array time-wheel "
-                              "(bit-identical results, ~10x faster on large "
-                              "fleets; with --mode parity the array engine is "
-                              "checked against the scalar reference loop)")
+                         help="event loop: batched (default; the array engine "
+                              "without --contention), naive per-request "
+                              "reference, or parity (run both and assert "
+                              "bit-identical)")
     p_serve.add_argument("--episodes", type=int, default=50,
                          help="OSDS episodes for distredge tenants")
     p_serve.add_argument("--seed", type=int, default=0)
@@ -1124,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--weight", action="append", type=float, default=None,
                          help="repeatable per-tenant WFQ fair-share weight "
                               "(with --contention --discipline wfq); default 1")
-    p_serve.add_argument("--slots", action="append", type=int, default=None,
+    p_serve.add_argument("--slots", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant service-slot count "
                               "(within-tenant concurrency); default 1, the "
                               "paper's one-image-in-flight protocol")
@@ -1232,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "run to PATH (open in Perfetto / "
                               "chrome://tracing, or feed to repro analyze); "
                               "simulated-clock, deterministic, identical "
-                              "across engines and modes, stamped with the "
+                              "across modes, stamped with the "
                               "same provenance block as --report-json; with "
                               "--plan-capacity/--autoscale, the control-plane "
                               "probe/window timeline instead")
@@ -1317,16 +1318,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "Poisson at --rate with per-tenant seeds")
     p_an.add_argument("--rate", type=float, default=2.0,
                       help="default Poisson arrival rate (req/s)")
-    p_an.add_argument("--deadline-ms", action="append", type=float, default=None,
+    p_an.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                       help="repeatable per-tenant SLO deadline (ms); default 1000")
     p_an.add_argument("--duration", type=float, default=30.0,
                       help="open-loop arrival horizon (simulated seconds)")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--episodes", type=int, default=50,
                       help="OSDS episodes for distredge tenants")
-    p_an.add_argument("--engine", choices=["object", "array"], default="object",
-                      help="execution engine for the inline run (the "
-                           "attribution is engine-invariant)")
     p_an.add_argument("--contention", action="store_true",
                       help="model shared-fleet lane contention, as in serve "
                            "(lane attribution needs it to show waiting)")

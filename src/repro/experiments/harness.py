@@ -389,7 +389,6 @@ class ExperimentHarness:
         mode: str = "batched",
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         schedule_memo: Optional[LRUCache] = None,
         faults: Optional[Union[str, FaultTrace, ChurnSpec]] = None,
@@ -405,9 +404,7 @@ class ExperimentHarness:
         Evaluation routes through :meth:`evaluator_for`, so
         ``config.workers >= 2`` fans the epoch batches out to the scenario's
         persistent sharded worker pool.  ``policy`` switches on shared-fleet
-        lane contention with the given cross-tenant dispatch discipline;
-        ``engine="array"`` routes the run through the vectorised serving
-        engine of :mod:`repro.serving.engine` (bit-identical results).
+        lane contention with the given cross-tenant dispatch discipline.
         Plans are cached per (method, scenario, model) within the harness,
         so load sweeps re-plan each tenant once, not once per point.
         ``slots`` sets within-tenant concurrency (broadcast like ``weight``)
@@ -474,7 +471,6 @@ class ExperimentHarness:
             duration_s=duration_s,
             mode=mode,
             policy=policy,
-            engine=engine,
             schedule_memo=schedule_memo,
             faults=faults,
             retry=retry,
@@ -495,7 +491,6 @@ class ExperimentHarness:
         duration_s: float = 30.0,
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         share_schedule_memo: bool = True,
         faults: Optional[Union[str, ChurnSpec]] = None,
@@ -552,7 +547,6 @@ class ExperimentHarness:
                 mode="batched",
                 policy=policy,
                 weight=weight,
-                engine=engine,
                 slots=slots,
                 schedule_memo=memo,
                 faults=faults,
@@ -576,7 +570,6 @@ class ExperimentHarness:
         queue_capacity: Optional[int] = None,
         policy: Optional[ClusterPolicy] = None,
         weight: Union[float, Sequence[float]] = 1.0,
-        engine: str = "object",
         slots: Union[int, Sequence[int]] = 1,
         faults: Optional[Union[str, ChurnSpec]] = None,
         retry: Optional[RetryPolicy] = None,
@@ -644,7 +637,6 @@ class ExperimentHarness:
                 mode="batched",
                 policy=policy,
                 weight=weight,
-                engine=engine,
                 slots=slots,
                 faults=faults,
                 retry=retry,

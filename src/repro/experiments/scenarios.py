@@ -457,17 +457,30 @@ def parse_generator_spec(spec: str) -> Scenario:
     unknown = set(options) - known
     if unknown:
         raise ValueError(f"unknown generator option(s) {sorted(unknown)}; known: {sorted(known)}")
+
+    def number(key: str, text: str, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"generator option {key}={text!r} is not {noun} (in {spec!r})"
+            ) from None
+
     bw = options.get("bw", "50-300")
     if "-" in bw:
         lo, _, hi = bw.partition("-")
         if not lo or not hi:
             raise ValueError(f"malformed bandwidth {bw!r}; expected '200' or '50-300'")
-        bandwidth: Union[float, Tuple[float, float]] = (float(lo), float(hi))
+        bandwidth: Union[float, Tuple[float, float]] = (
+            number("bw", lo, float),
+            number("bw", hi, float),
+        )
     else:
-        bandwidth = float(bw)
+        bandwidth = number("bw", bw, float)
     return generate_scenario(
-        num_devices=int(options.get("n", 16)),
-        seed=int(options.get("seed", 0)),
+        num_devices=number("n", options.get("n", "16"), int),
+        seed=number("seed", options.get("seed", "0"), int),
         bandwidth_mbps=bandwidth,
         heterogeneity=options.get("types", "mixed"),
         trace_kind=options.get("trace", "constant"),

@@ -32,7 +32,7 @@ from repro.runtime.plan import (
 )
 from repro.runtime.lanes import Lane, LaneSet
 from repro.runtime.evaluator import EvaluationResult, PlanEvaluator, VolumeTiming
-from repro.runtime.batch import BatchPlanEvaluator, network_state_signature, plan_signature
+from repro.runtime.batch import BatchPlanEvaluator, network_state_signature
 from repro.runtime.oracles import MemoizedComputeOracle
 from repro.runtime.shard import OracleSpec, ShardedPlanEvaluator
 from repro.runtime.streaming import StreamingResult, StreamingSimulator
@@ -50,7 +50,6 @@ __all__ = [
     "OracleSpec",
     "MemoizedComputeOracle",
     "network_state_signature",
-    "plan_signature",
     "EvaluationResult",
     "VolumeTiming",
     "StreamingSimulator",

@@ -64,20 +64,6 @@ from repro.utils.cache import LRUCache
 from repro.utils.units import FP16_BYTES, MBPS
 
 
-def plan_signature(plan: DistributionPlan) -> Tuple:
-    """Structural identity of a plan: partition, split decisions, head.
-
-    Together with a model token and the network-state signature this fully
-    determines the evaluation result; the planner method name is excluded
-    (it only labels the result and is patched on cache hits).
-    """
-    return (
-        tuple(plan.boundaries),
-        tuple(d.cuts for d in plan.decisions),
-        plan.head_device,
-    )
-
-
 def network_state_signature(network: NetworkModel, t_seconds: float) -> Tuple[float, ...]:
     """Instantaneous per-endpoint throughputs — all the schedule depends on.
 
@@ -261,7 +247,7 @@ class BatchPlanEvaluator(PlanEvaluator):
         # batch resolve even if the LRU evicts early entries mid-call.
         computed: Dict[Tuple, EvaluationResult] = {}
         for i, plan in enumerate(plans):
-            key = (self._model_token(plan.model), plan_signature(plan), net_sig)
+            key = (self._model_token(plan.model), plan.signature, net_sig)
             keys.append(key)
             cached = self._plan_cache.get(key)
             if cached is not None:
@@ -768,5 +754,4 @@ __all__ = [
     "BatchPlanEvaluator",
     "BatchVolumeScheduler",
     "network_state_signature",
-    "plan_signature",
 ]

@@ -56,7 +56,7 @@ import numpy as np
 from repro.network.topology import REQUESTER
 from repro.obs.profile import NULL_PROFILER
 from repro.nn.graph import ModelSpec
-from repro.runtime.batch import network_state_signature, plan_signature
+from repro.runtime.batch import network_state_signature
 from repro.runtime.evaluator import EvaluationResult, PlanEvaluator
 from repro.runtime.lanes import LaneSet
 from repro.runtime.plan import DistributionPlan
@@ -621,11 +621,6 @@ class ContentionAwareEvaluator:
             self._memo = LRUCache(cache_size) if memoize else None
         self._model_tokens: Dict[int, int] = {}
         self._model_refs: Dict[int, ModelSpec] = {}
-        # Plan signatures cached by object identity (plans are immutable;
-        # the reference pins the id against recycling) — the memo key is
-        # rebuilt per dispatch and this is its only non-trivial component.
-        self._plan_sigs: Dict[int, Tuple] = {}
-        self._plan_refs: Dict[int, DistributionPlan] = {}
         self.evaluations = 0
         self.profiler = NULL_PROFILER
 
@@ -685,14 +680,6 @@ class ContentionAwareEvaluator:
         self.evaluations += 1
         return result, outcome
 
-    def _plan_signature(self, plan: DistributionPlan) -> Tuple:
-        sig = self._plan_sigs.get(id(plan))
-        if sig is None:
-            sig = plan_signature(plan)
-            self._plan_sigs[id(plan)] = sig
-            self._plan_refs[id(plan)] = plan
-        return sig
-
     def _floors(self, release_ms: float) -> Tuple[Tuple[float, ...], float]:
         residuals = self.fleet.residuals(release_ms)
         floor = self.fleet.admission_floor(release_ms, self.max_inflight)
@@ -707,7 +694,7 @@ class ContentionAwareEvaluator:
     ) -> Tuple:
         return (
             self._model_token(plan.model),
-            self._plan_signature(plan),
+            plan.signature,
             network_state_signature(self.network, t_seconds),
             gate_rel,
             residuals,

@@ -145,6 +145,16 @@ class DistributionPlan:
         if not 0 <= head_device < len(self.devices):
             raise ValueError(f"head_device {head_device} out of range")
         self.head_device = head_device
+        #: Structural identity: partition, per-volume cut points, head.
+        #: Together with a model token and the network-state signature it
+        #: fully determines an evaluation result, so every evaluation cache
+        #: keys on it; the method label is excluded (it only labels results).
+        #: Computed once — plans are immutable after construction.
+        self.signature: Tuple = (
+            tuple(self.boundaries),
+            tuple(d.cuts for d in self.decisions),
+            self.head_device,
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -183,12 +193,7 @@ class DistributionPlan:
             and other.model.input_shape == self.model.input_shape
             and other.model.layers == self.model.layers
         )
-        return (
-            same_model
-            and self.boundaries == other.boundaries
-            and [d.cuts for d in self.decisions] == [d.cuts for d in other.decisions]
-            and self.head_device == other.head_device
-        )
+        return same_model and self.signature == other.signature
 
     def largest_share_device(self, volume_index: int) -> int:
         """Provider with the most output rows of the given volume (default head)."""

@@ -13,17 +13,17 @@ cluster.  This package adds the traffic-facing layer the ROADMAP's
   deadline-slack / weighted-fair-queueing disciplines and cluster-wide
   concurrency caps for shared-fleet contention
   (:mod:`repro.runtime.contention`).
-* :mod:`repro.serving.simulator` — the serving event loop: epoch-batched
-  ``(requests, devices)`` sweeps through
+* :mod:`repro.serving.simulator` — the serving entry point: the naive
+  per-request reference loop, the contended loops, and the bit-exact parity
+  check binding each fast path to its reference loop
+  (:func:`run_with_parity`), reporting throughput, latency percentiles,
+  deadline-miss rates and queue-depth series per tenant.
+* :mod:`repro.serving.engine` — the contention-free batched loop: per-tenant
+  NumPy request columns driven by a vectorised time-wheel with slot pools
+  and epoch speculation, whose evaluations go through
   :class:`~repro.runtime.batch.BatchPlanEvaluator` /
-  :class:`~repro.runtime.shard.ShardedPlanEvaluator`, bit-identical to a
-  naive per-request reference loop (asserted by :func:`run_with_parity`),
-  reporting throughput, latency percentiles, deadline-miss rates and
-  queue-depth series per tenant.
-* :mod:`repro.serving.engine` — the array-native serving engine
-  (``engine="array"``): per-tenant NumPy request columns driven by a
-  vectorised time-wheel with slot pools and epoch speculation, bit-exact
-  against the reference loop via the same parity contract.
+  :class:`~repro.runtime.shard.ShardedPlanEvaluator` sweeps grouped by
+  network state.
 * :mod:`repro.serving.control` — the predictive control plane: deny-at-
   admission (``ClusterPolicy(admission="predictive")``), the between-windows
   fleet autoscaler and the binary-search capacity planner, all built on the
@@ -69,7 +69,6 @@ from repro.runtime.faults import (
 )
 from repro.serving.engine import ArrayServingEngine, vectorizable
 from repro.serving.simulator import (
-    ENGINES,
     MODES,
     ParityMismatch,
     ServingReport,
@@ -93,7 +92,6 @@ from repro.serving.traffic import (
 __all__ = [
     "ADMISSION_MODES",
     "DISCIPLINES",
-    "ENGINES",
     "MODES",
     "PREDICTED_MISS_ACTIONS",
     "ClusterPolicy",

@@ -1,14 +1,15 @@
-"""Array-native serving engine: a vectorised tenant time-wheel.
+"""Array-native serving engine: the contention-free batched serving loop.
 
-The object event loops of :class:`~repro.serving.simulator.ServingSimulator`
-batch *evaluations* but still run the admit/queue/deadline bookkeeping as
-per-request Python over :class:`~repro.serving.tenants.TenantRuntime`
-objects — at thousands of tenants or millions of arrivals the orchestration
-itself becomes the wall (the same wall OSDS hit before the
-``BatchVolumeScheduler`` extract-and-vectorise move).  This module rewrites
-the tenant chain as **structured NumPy column arrays** — per-tenant
+:class:`ArrayServingEngine` is what ``ServingSimulator.run(mode="batched")``
+runs whenever no :class:`~repro.serving.dispatch.ClusterPolicy` is given.
+Rather than running the admit/queue/deadline bookkeeping as per-request
+Python over :class:`~repro.serving.tenants.TenantRuntime` objects — at
+thousands of tenants or millions of arrivals the orchestration itself
+becomes the wall (the same wall OSDS hit before the
+``BatchVolumeScheduler`` extract-and-vectorise move) — it rewrites the
+tenant chain as **structured NumPy column arrays**: per-tenant
 ``(requests,)`` columns for arrival, start, completion, latency, response,
-deadline slack — driven by an epoch time-wheel that advances every tenant
+deadline slack, driven by an epoch time-wheel that advances every tenant
 per epoch and commits completions in the canonical order the scalar chain
 produces.
 
@@ -55,16 +56,16 @@ retry-chain walk (:func:`~repro.runtime.faults.resolve_faulted_request`),
 so mid-inference crashes, retries and abandonments land bit-identically to
 the reference loop's verdicts.
 
-Shared-fleet contention (a :class:`~repro.serving.dispatch.ClusterPolicy`)
-keeps its canonical sequential dispatch order by construction — the
-simulator routes contended array runs through the contended loop over the
-vectorised :class:`~repro.runtime.contention.SharedFleetState` residuals.
+Shared-fleet contention keeps its canonical sequential dispatch order by
+construction, so contended runs never reach this engine — the simulator's
+contended loop serves them over the vectorised
+:class:`~repro.runtime.contention.SharedFleetState` residuals.
 
-``run_with_parity(..., engine="array")`` asserts bit-identity of all of
-this against the naive per-request reference loop.  Where this engine sits
-relative to the simulator's object loops, the contention layer and the
-control plane — and the parity contract binding every fast path to its
-reference loop — is drawn in ``docs/architecture.md``.
+``run_with_parity`` (without a policy) asserts bit-identity of all of this
+against the naive per-request reference loop.  Where this engine sits
+relative to the reference loops, the contention layer and the control
+plane — and the parity contract binding every fast path to its reference
+loop — is drawn in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -77,11 +78,7 @@ import numpy as np
 
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.batch import (
-    network_state_signature,
-    network_state_signatures,
-    plan_signature,
-)
+from repro.runtime.batch import network_state_signature, network_state_signatures
 from repro.runtime.faults import (
     FaultContext,
     emit_resolution,
@@ -97,8 +94,8 @@ from repro.utils.cache import LRUCache
 #: never to wrong answers.
 MIN_SPECULATION = 4
 
-#: Default cap of the adaptive speculation window.
-DEFAULT_SPECULATION = 64
+#: Cap of the adaptive speculation window.
+MAX_SPECULATION = 64
 
 
 def vectorizable(spec: TenantSpec) -> bool:
@@ -255,7 +252,6 @@ class _VectorTenant:
         signature: Tuple[float, ...],
         static: bool,
         network,
-        max_window: int,
     ) -> int:
         """Commit one speculation window; returns how many requests landed.
 
@@ -291,7 +287,7 @@ class _VectorTenant:
             self.window = max(MIN_SPECULATION, self.window // 2)
             self.rollbacks += 1
         else:
-            self.window = min(max_window, self.window * 2)
+            self.window = min(MAX_SPECULATION, self.window * 2)
         count = self.committed - i0
         self.lats[i0:i0 + count] = latency_ms
         return count
@@ -303,7 +299,6 @@ class _VectorTenant:
         signature: Tuple[float, ...],
         static: bool,
         network,
-        max_window: int,
         trace,
     ) -> int:
         """:meth:`advance` on a churning fleet; returns how many landed.
@@ -357,7 +352,7 @@ class _VectorTenant:
             self.window = max(MIN_SPECULATION, self.window // 2)
             self.rollbacks += 1
         elif not static:
-            self.window = min(max_window, self.window * 2)
+            self.window = min(MAX_SPECULATION, self.window * 2)
         count = self.committed - i0
         self.lats[i0:i0 + count] = latency_ms
         return count
@@ -504,18 +499,13 @@ class ArrayServingEngine:
     Constructed on the same batch-capable evaluator as the simulator
     (:class:`~repro.runtime.batch.BatchPlanEvaluator` or a
     :class:`~repro.runtime.shard.ShardedPlanEvaluator` pool).  Use it via
-    ``ServingSimulator.run(..., engine="array")`` — the simulator performs
-    the argument validation and wraps the outcome in a
+    ``ServingSimulator.run(..., mode="batched")`` without a policy — the
+    simulator performs the argument validation and wraps the outcome in a
     :class:`~repro.serving.simulator.ServingReport`.
     """
 
-    def __init__(self, evaluator, speculation: int = DEFAULT_SPECULATION) -> None:
-        if speculation < MIN_SPECULATION:
-            raise ValueError(
-                f"speculation must be >= {MIN_SPECULATION}, got {speculation}"
-            )
+    def __init__(self, evaluator) -> None:
         self.evaluator = evaluator
-        self.speculation = int(speculation)
         self.profiler = NULL_PROFILER
 
     def run(
@@ -523,14 +513,11 @@ class ArrayServingEngine:
         tenants: Sequence[TenantSpec],
         duration_s: Optional[float] = None,
         start_s: float = 0.0,
-        mode: str = "batched",
         fault_ctx: Optional[FaultContext] = None,
         tracer: Optional[Tracer] = None,
     ):
         """Run the array time-wheel; returns a ``ServingReport``.
 
-        ``mode`` is recorded in the report for symmetry with the object
-        loops; the engine itself has a single (batched) execution strategy.
         ``fault_ctx`` (built by the simulator) switches on fleet churn: the
         run moves to the fault-aware epoch loop, whose speculation windows
         are additionally bounded by the fault trace's membership events.
@@ -539,9 +526,7 @@ class ArrayServingEngine:
 
         tracer = NULL_TRACER if tracer is None else tracer
         if fault_ctx is not None:
-            return self._run_faulted(
-                tenants, duration_s, start_s, mode, fault_ctx, tracer
-            )
+            return self._run_faulted(tenants, duration_s, start_s, fault_ctx, tracer)
 
         prof = self.profiler
         run_start = perf_counter() if prof.enabled else 0.0
@@ -562,19 +547,6 @@ class ArrayServingEngine:
         epochs = 0
         cache_hits = 0
         speculated = 0
-        # Plan signatures memoized by object identity (fallback chains may
-        # swap plans via hooks; the dict also pins ids against recycling).
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
-
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
-
         while True:
             # Phase 1: every active tenant declares its next evaluation need
             # (fallback dispatches whose latency is already cached commit
@@ -609,7 +581,7 @@ class ArrayServingEngine:
                     if static
                     else network_state_signature(network, dispatch.start_s)
                 )
-                key = (id(dispatch.plan.model), sig_of(dispatch.plan), signature)
+                key = (id(dispatch.plan.model), dispatch.plan.signature, signature)
                 cached = runtime.cached_latency(key)
                 if cached is not None:
                     cache_hits += 1
@@ -643,9 +615,7 @@ class ArrayServingEngine:
                         runtime.commit(latency)
             # Phase 3: column tenants commit their speculation windows.
             for vector, signature, latency in ready:
-                landed = vector.advance(
-                    latency, signature, static, network, self.speculation
-                )
+                landed = vector.advance(latency, signature, static, network)
                 speculated += landed - 1
 
         reports = [
@@ -665,7 +635,7 @@ class ArrayServingEngine:
             tenants=reports,
             start_s=start_s,
             duration_s=duration_s,
-            mode=mode,
+            mode="batched",
             epochs=epochs,
             evaluator_kind=type(self.evaluator).__name__,
             cache_hits=cache_hits,
@@ -678,7 +648,6 @@ class ArrayServingEngine:
         tenants: Sequence[TenantSpec],
         duration_s: Optional[float],
         start_s: float,
-        mode: str,
         ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ):
@@ -695,13 +664,18 @@ class ArrayServingEngine:
           can ever interact with churn;
         * a head request crossing the barrier is rolled back and resolved
           through the shared scalar retry-chain walk
-          (:func:`~repro.runtime.faults.resolve_faulted_request`) with this
-          engine's memoized latency oracle, then committed row by row —
-          including abandoned rows, which hold their slot until the crash.
+          (:func:`~repro.runtime.faults.resolve_faulted_request`), then
+          committed row by row — including abandoned rows, which hold their
+          slot until the crash.
 
-        Non-vectorizable tenants run their scalar :class:`TenantRuntime`
-        chain through the very same resolver per dispatch, exactly as the
-        simulator's batched faulted loop does.
+        Each column tenant takes its window latency and its retry-chain
+        latencies from one memoized oracle that evaluates a single plan at
+        a time.  Churn gives tenants distinct effective plans, and one
+        vectorised sweep over a few distinct plans costs several times
+        their separate evaluations, so this loop does not group tenants by
+        network state.  Non-vectorizable tenants run their scalar
+        :class:`TenantRuntime` chain through the very same resolver per
+        dispatch.
         """
         from repro.serving.simulator import ServingReport  # circular at module load
 
@@ -730,25 +704,14 @@ class ArrayServingEngine:
         epochs = 0
         cache_hits = 0
         speculated = 0
-        plan_sigs: Dict[int, Tuple] = {}
-        plan_refs: Dict[int, object] = {}
-
-        def sig_of(plan) -> Tuple:
-            sig = plan_sigs.get(id(plan))
-            if sig is None:
-                sig = plan_signature(plan)
-                plan_sigs[id(plan)] = sig
-                plan_refs[id(plan)] = plan
-            return sig
 
         def sig_at(t_s: float) -> Tuple[float, ...]:
             return static_sig if static else network_state_signature(network, t_s)
 
         def vector_oracle(vector: _VectorTenant):
-            # The retry-chain walk's latency oracle for a column tenant:
-            # the per-tenant memo keyed (effective plan, network state),
-            # falling through to a singleton batch evaluation — the same
-            # floats the simulator's batched faulted loop feeds the walk.
+            # A column tenant's latency oracle: the per-tenant memo keyed
+            # (effective plan, network state), falling through to a
+            # singleton batch evaluation.
             def latency_of(plan, t_s: float) -> float:
                 nonlocal cache_hits
                 key = (id(plan), sig_at(t_s))
@@ -765,11 +728,7 @@ class ArrayServingEngine:
         def runtime_oracle(runtime: TenantRuntime):
             def latency_of(plan, t_s: float) -> float:
                 nonlocal cache_hits
-                key = (
-                    id(plan.model),
-                    sig_of(plan),
-                    network_state_signature(network, t_s),
-                )
+                key = (id(plan.model), plan.signature, network_state_signature(network, t_s))
                 cached = runtime.cached_latency(key)
                 if cached is not None:
                     cache_hits += 1
@@ -781,8 +740,6 @@ class ArrayServingEngine:
             return latency_of
 
         while True:
-            groups: Dict[Tuple[float, ...], List[Tuple]] = {}
-            ready: List[Tuple] = []
             dispatched = False
             for index, (vector, runtime) in enumerate(zip(vectors, runtimes)):
                 if vector is not None:
@@ -793,15 +750,27 @@ class ArrayServingEngine:
                     eff = degrader.effective_plan(
                         vector.spec.plan, trace.live_indices(t_next * 1000.0)
                     )
-                    signature = sig_at(t_next)
-                    latency = vector.memo.get((id(eff), signature))
-                    if latency is None:
-                        groups.setdefault(signature, []).append(
-                            (vector, t_next, eff, index)
-                        )
-                    else:
-                        cache_hits += 1
-                        ready.append((vector, signature, latency, index))
+                    latency_of = vector_oracle(vector)
+                    landed = vector.advance_faulted(
+                        latency_of(eff, t_next), sig_at(t_next), static, network, trace
+                    )
+                    if landed:
+                        speculated += landed - 1
+                        continue
+                    # The head request crosses the next membership event:
+                    # walk its retry chain scalar and commit the resolution.
+                    resolved = resolve_faulted_request(
+                        t_next,
+                        vector.spec.plan,
+                        latency_of,
+                        trace,
+                        retry,
+                        degrader,
+                        index,
+                        vector.committed,
+                    )
+                    emit_resolution(tracer, vector.spec.name, t_next, resolved)
+                    vector.commit_resolved_head(resolved)
                     continue
                 if runtime.done:
                     continue
@@ -824,36 +793,6 @@ class ArrayServingEngine:
             if not dispatched:
                 break
             epochs += 1
-            for signature, members in groups.items():
-                results = self.evaluator.evaluate_plans(
-                    [eff for _, _, eff, _ in members], t_seconds=members[0][1]
-                )
-                for (vector, t_next, eff, index), result in zip(members, results):
-                    latency = result.end_to_end_ms
-                    vector.memo.put((id(eff), signature), latency)
-                    ready.append((vector, signature, latency, index))
-            for vector, signature, latency, index in ready:
-                landed = vector.advance_faulted(
-                    latency, signature, static, network, self.speculation, trace
-                )
-                if landed:
-                    speculated += landed - 1
-                    continue
-                # The head request crosses the next membership event: walk
-                # its retry chain scalar and commit the single resolution.
-                release_s = vector.peek_start()
-                resolved = resolve_faulted_request(
-                    release_s,
-                    vector.spec.plan,
-                    vector_oracle(vector),
-                    trace,
-                    retry,
-                    degrader,
-                    index,
-                    vector.committed,
-                )
-                emit_resolution(tracer, vector.spec.name, release_s, resolved)
-                vector.commit_resolved_head(resolved)
 
         reports = [
             vector.report() if vector is not None else runtime.report()
@@ -872,7 +811,7 @@ class ArrayServingEngine:
             tenants=reports,
             start_s=start_s,
             duration_s=duration_s,
-            mode=mode,
+            mode="batched",
             epochs=epochs,
             evaluator_kind=type(self.evaluator).__name__,
             cache_hits=cache_hits,
@@ -885,5 +824,5 @@ __all__ = [
     "ArrayServingEngine",
     "vectorizable",
     "MIN_SPECULATION",
-    "DEFAULT_SPECULATION",
+    "MAX_SPECULATION",
 ]

@@ -9,11 +9,13 @@ optional adaptation hook (the Section V-F controllers of
 
 :class:`TenantRuntime` is the behavioural core of the serving simulator: it
 advances one tenant's request chain — admission, queueing, dispatch, hook
-invocation, deadline accounting — request by request.  Both event loops of
-:class:`~repro.serving.simulator.ServingSimulator` (the epoch-batched one and
-the naive per-request reference) drive the *same* runtime code and differ
-only in how the dispatched plan is evaluated, which is what makes their
-results bit-identical by construction.
+invocation, deadline accounting — request by request.  The reference and
+contended loops of :class:`~repro.serving.simulator.ServingSimulator` drive
+this runtime directly; the array engine (:mod:`repro.serving.engine`)
+replays its float operations over NumPy columns and drives the runtime
+itself for the tenants its columns cannot express.  The loops differ only
+in how the dispatched plan is evaluated, which is what makes their results
+bit-identical.
 
 Service model: the cluster grants each tenant a pool of ``slots`` service
 slots (``slots=1`` is the paper's one-image-in-flight protocol, per stream).

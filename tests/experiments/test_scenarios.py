@@ -165,6 +165,10 @@ class TestGeneratorSpecGrammar:
             parse_generator_spec("gen:n")
         with pytest.raises(ValueError, match="malformed bandwidth"):
             parse_generator_spec("gen:bw=50-")
+        with pytest.raises(ValueError, match="seed='x' is not an integer"):
+            parse_generator_spec("gen:seed=x")
+        with pytest.raises(ValueError, match="bw='fast' is not a number"):
+            parse_generator_spec("gen:bw=50-fast")
         with pytest.raises(ValueError, match="must start with"):
             parse_generator_spec("n=4")
 

@@ -22,7 +22,7 @@ from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.splitting import SplitDecision
-from repro.runtime.batch import BatchPlanEvaluator, network_state_signature, plan_signature
+from repro.runtime.batch import BatchPlanEvaluator, network_state_signature
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.oracles import MemoizedComputeOracle, ProfileComputeOracle, profiles_by_device
 from repro.runtime.plan import DistributionPlan
@@ -367,7 +367,7 @@ class TestPlanCache:
 
     def test_plan_signature_structure(self, model, mixed_devices):
         (plan,) = random_plans(model, mixed_devices, [0, 5, model.num_spatial_layers], 1)
-        boundaries, cuts, head = plan_signature(plan)
+        boundaries, cuts, head = plan.signature
         assert boundaries == tuple(plan.boundaries)
         assert len(cuts) == plan.num_volumes
         assert head == plan.head_device

@@ -150,3 +150,27 @@ class TestDistributionPlan:
         decisions = [SplitDecision.from_fractions([1, 0, 1, 0], volume.output_height)]
         plan = DistributionPlan(model, hetero_cluster, boundaries, decisions)
         assert plan.assignment(0).active_devices == [0, 2]
+
+    def test_signature_ignores_method_and_matches_rebuilt_plan(self, model, hetero_cluster):
+        plan = equal_plan(model, hetero_cluster)
+        rebuilt = DistributionPlan(
+            model,
+            list(hetero_cluster),
+            list(plan.boundaries),
+            [SplitDecision(tuple(d.cuts), d.output_height) for d in plan.decisions],
+            head_device=plan.head_device,
+            method="rebuilt",
+        )
+        assert rebuilt is not plan and rebuilt.method != plan.method
+        assert rebuilt.signature == plan.signature
+        assert plan.same_strategy(rebuilt)
+        # A different head placement is a different strategy.
+        moved = DistributionPlan(
+            model,
+            hetero_cluster,
+            plan.boundaries,
+            plan.decisions,
+            head_device=(plan.head_device + 1) % plan.num_devices,
+        )
+        assert moved.signature != plan.signature
+        assert not plan.same_strategy(moved)

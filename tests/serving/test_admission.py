@@ -2,9 +2,9 @@
 
 The control plane's admission gate runs *inside* the contended serving
 loop, so its acceptance bar is the same bit-parity contract as the loop
-itself: with ``ClusterPolicy(admission="predictive")`` the reference,
-batched and array loops must produce identical reports — denials,
-requeues, window series and all — under every dispatch discipline.
+itself: with ``ClusterPolicy(admission="predictive")`` the reference and
+batched loops must produce identical reports — denials, requeues, window
+series and all — under every dispatch discipline.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _saturating_tenants(model, devices):
     ]
 
 
-def _run(fleet, model, policy, mode="batched", engine="object", duration=2.0):
+def _run(fleet, model, policy, mode="batched", duration=2.0):
     devices, network = fleet
     evaluator = BatchPlanEvaluator(devices, network)
     return ServingSimulator(evaluator).run(
@@ -82,7 +82,6 @@ def _run(fleet, model, policy, mode="batched", engine="object", duration=2.0):
         duration_s=duration,
         mode=mode,
         policy=policy,
-        engine=engine,
     )
 
 
@@ -93,9 +92,8 @@ def _run(fleet, model, policy, mode="batched", engine="object", duration=2.0):
 
 @pytest.mark.parametrize("discipline", ["fifo", "deadline", "wfq"])
 @pytest.mark.parametrize("action", ["reject", "requeue"])
-@pytest.mark.parametrize("engine", ["object", "array"])
-def test_predictive_admission_parity(fleet, model, discipline, action, engine):
-    """Reference, batched and array loops agree bit-for-bit with admission on."""
+def test_predictive_admission_parity(fleet, model, discipline, action):
+    """Reference and batched loops agree bit-for-bit with admission on."""
     devices, network = fleet
     policy = ClusterPolicy(
         discipline=discipline, admission="predictive", on_predicted_miss=action
@@ -106,7 +104,6 @@ def test_predictive_admission_parity(fleet, model, discipline, action, engine):
         _saturating_tenants(model, devices),
         duration_s=2.0,
         policy=policy,
-        engine=engine,
     )
     assert report.admission == "predictive"
     assert report.on_predicted_miss == action

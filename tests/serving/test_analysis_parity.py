@@ -114,14 +114,14 @@ class TestAnalysisParity:
             PlanEvaluator(devices, network),
             tenants_for(model, devices),
             duration_s=2.0,
-            policy=POLICY,
-            engine="array",
             faults=CHURN,
             retry=RETRY,
             tracer=tracer,
             compare_analysis=True,
         )
-        assert_analysis_nonvacuous(report, tracer)
+        assert report.engine == "array"
+        analysis = assert_analysis_nonvacuous(report, tracer, want_lanes=False)
+        assert analysis.total("retries") + analysis.total("abandons") > 0
 
     def test_wfq_with_max_inflight_gate(self, model, fleet):
         devices, network = fleet

@@ -1,7 +1,7 @@
 """Churn-aware serving: parity, crash-boundary edge cases, conservation.
 
 The fault subsystem's acceptance bar: on a fleet that crashes mid-run, the
-reference, epoch-batched and array serving loops must agree float-for-float
+reference and batched serving loops must agree float-for-float
 on every request — including requests killed mid-inference, retried on a
 replanned strategy, abandoned at their retry budget, or shed by the
 degradation policy.  The boundary cases (crash exactly at a completion
@@ -90,9 +90,9 @@ def assert_conserved(report):
 
 
 class TestChurnParity:
-    """All three loops on one crashing fleet, bit-identically."""
+    """Every loop on one crashing fleet, bit-identically."""
 
-    def test_object_engine_parity_with_mid_inference_crash(self, model, fleet):
+    def test_parity_with_mid_inference_crash(self, model, fleet):
         devices, network = fleet
         report = run_with_parity(
             BatchPlanEvaluator(devices, network),
@@ -103,6 +103,7 @@ class TestChurnParity:
             retry=RETRY,
             degradation=DEGRADE,
         )
+        assert report.engine == "array"
         faults = report.faults
         assert faults is not None
         assert faults.num_crashes == 2 and faults.live_at_end == 2
@@ -111,28 +112,46 @@ class TestChurnParity:
         assert faults.total_shed > 0
         assert_conserved(report)
 
-    def test_array_engine_parity_matches_object_engine(self, model, fleet):
+    def test_fallback_tenants_parity_with_churn(self, model, fleet):
+        """Tenants the array columns cannot express (queue caps, adaptation
+        hooks) resolve their retry chains through the engine's scalar
+        fallback, bit-identically, next to column tenants."""
         devices, network = fleet
-        kwargs = dict(duration_s=2.0, faults=CHURN, retry=RETRY, degradation=DEGRADE)
-        obj = run_with_parity(
+
+        def hook_factory():
+            def hook(t, index, current, history):
+                return DistributionPlan.single_device(model, devices, 3 if index % 8 < 4 else 1)
+
+            return hook
+
+        tenants = churn_tenants(model, devices) + [
+            TenantSpec(
+                "capped",
+                DistributionPlan.single_device(model, devices, 0),
+                traffic=PoissonArrivals(150.0, seed=5),
+                queue_capacity=2,
+            ),
+            TenantSpec(
+                "hooked",
+                DistributionPlan.single_device(model, devices, 1),
+                traffic=PoissonArrivals(60.0, seed=6),
+                hook_factory=hook_factory,
+            ),
+        ]
+        report = run_with_parity(
             BatchPlanEvaluator(devices, network),
             PlanEvaluator(devices, network),
-            churn_tenants(model, devices),
-            **kwargs,
+            tenants,
+            duration_s=2.0,
+            faults=CHURN,
+            retry=RETRY,
         )
-        arr = run_with_parity(
-            BatchPlanEvaluator(devices, network),
-            PlanEvaluator(devices, network),
-            churn_tenants(model, devices),
-            engine="array",
-            **kwargs,
-        )
-        assert arr.faults == obj.faults
-        for a, b in zip(arr.tenants, obj.tenants):
-            assert np.array_equal(a.latency_ms, b.latency_ms)
-            assert np.array_equal(a.start_s, b.start_s)
-            assert a.num_abandoned == b.num_abandoned
-            assert a.num_retried == b.num_retried
+        assert report.engine == "array"
+        capped, hooked = report.tenant("capped"), report.tenant("hooked")
+        assert capped.num_rejected > 0
+        assert hooked.replan_times_s
+        assert capped.num_lost_attempts + hooked.num_lost_attempts > 0
+        assert_conserved(report)
 
     def test_contended_parity_with_churn(self, model, fleet):
         devices, network = fleet
@@ -240,7 +259,6 @@ class TestCrashBoundaries:
             PlanEvaluator(devices, network),
             tenants,
             duration_s=2.0,
-            engine="array",
             faults="churn:events=crash:0@150;join:0@900;crash:0@1300",
             retry=RetryPolicy(max_attempts=4, backoff_ms=10.0, jitter_ms=2.0),
         )
@@ -259,14 +277,14 @@ class TestNoChurnByteIdentity:
             events=(FaultEvent(t_ms=1e9, kind="crash", device=0),),
             num_devices=len(devices),
         )
-        for engine in ("object", "array"):
+        for mode in ("batched", "reference"):
             plain = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
-                churn_tenants(model, devices), duration_s=2.0, engine=engine
+                churn_tenants(model, devices), duration_s=2.0, mode=mode
             )
             churned = ServingSimulator(BatchPlanEvaluator(devices, network)).run(
                 churn_tenants(model, devices),
                 duration_s=2.0,
-                engine=engine,
+                mode=mode,
                 faults=idle,
                 retry=RETRY,
                 degradation=DEGRADE,

@@ -411,8 +411,8 @@ class TestDisciplineSemantics:
 
 class TestPerTenantPlanCache:
     def test_batched_loop_skips_repeat_evaluations(self, model):
-        """Steady-state dispatches on a constant network hit the per-tenant
-        cache instead of re-entering the evaluator."""
+        """Steady-state dispatches on a constant network are served from the
+        per-tenant memo or by speculation without re-entering the evaluator."""
         devices = make_cluster([("nano", 100), ("nano", 100)])
         network = NetworkModel.constant_from_devices(devices)
 
@@ -434,10 +434,10 @@ class TestPerTenantPlanCache:
         simulator = ServingSimulator(CountingEvaluator(devices, network))
         report = simulator.run(tenants, duration_s=10.0)
         # Each tenant's (plan, network-state) pair is evaluated once; every
-        # later dispatch is a per-tenant cache hit that bypasses the batch
-        # engine entirely.
+        # later dispatch is a memo hit or a speculated commit that bypasses
+        # the batch engine entirely.
         assert sum(calls) == 2
-        assert report.cache_hits == report.total_completed - 2
+        assert report.cache_hits + report.speculated == report.total_completed - 2
         assert report.total_completed > 10
 
     def test_cache_respects_replans(self, model):

@@ -1,10 +1,11 @@
 """Array serving engine: bit-identity against the scalar reference loop.
 
-The acceptance bar of the ``engine="array"`` time-wheel: across open- and
-closed-loop tenants, dynamic traces, slot pools, request caps, admission
-bounds, adaptation hooks, all three contention disciplines and a sharded
-pool, every per-request number must equal the reference loop's exactly —
-``run_with_parity(..., engine="array")`` is the contract.
+The acceptance bar of the array time-wheel, the contention-free batched
+loop: across open- and closed-loop tenants, dynamic traces, slot pools,
+request caps, admission bounds, adaptation hooks and a sharded pool, every
+per-request number must equal the reference loop's exactly —
+``run_with_parity`` without a policy is the contract.  Contended runs
+never reach the engine; they keep the dispatcher's canonical order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.serving import (
     run_with_parity,
     vectorizable,
 )
-from repro.serving.engine import ArrayServingEngine
+from repro.serving.simulator import assert_reports_equal
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,6 @@ def _parity(devices, network, tenants, **kwargs):
         BatchPlanEvaluator(devices, network),
         PlanEvaluator(devices, network),
         tenants,
-        engine="array",
         **kwargs,
     )
 
@@ -267,7 +267,7 @@ class TestFallbackPathParity:
 class TestContendedAndSharded:
     @pytest.mark.parametrize("discipline", ["fifo", "deadline", "wfq"])
     def test_contended_parity(self, model, discipline):
-        """Contended array runs keep the canonical dispatcher interleaving."""
+        """Contended runs keep the canonical dispatcher interleaving."""
         devices, network = _two_devices()
         tenants = [
             TenantSpec(
@@ -291,7 +291,7 @@ class TestContendedAndSharded:
             policy=ClusterPolicy(discipline=discipline, max_inflight=2),
         )
         assert report.contention
-        assert report.engine == "array"
+        assert report.engine == "object"
         assert report.fleet is not None
 
     def test_sharded_pool_parity(self, model):
@@ -316,37 +316,32 @@ class TestContendedAndSharded:
                 PlanEvaluator(devices, network),
                 tenants,
                 duration_s=8.0,
-                engine="array",
             )
             assert report.engine == "array"
 
 
 class TestValidation:
-    def test_array_engine_rejects_reference_mode(self, model):
+    def test_engine_argument_is_ignored(self, model):
+        """``engine=`` is accepted for older callers; every value runs the
+        same loop and yields the same report."""
         devices, network = _two_devices()
         tenants = [
             TenantSpec(
                 "t",
                 DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
+                traffic=PoissonArrivals(20.0, seed=1),
+                slots=2,
             )
         ]
-        simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        with pytest.raises(ValueError, match="reference"):
-            simulator.run(tenants, duration_s=5.0, mode="reference", engine="array")
-
-    def test_unknown_engine_rejected(self, model):
-        devices, network = _two_devices()
-        tenants = [
-            TenantSpec(
-                "t",
-                DistributionPlan.single_device(model, devices, 0),
-                traffic=PoissonArrivals(2.0, seed=1),
+        reports = [
+            ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+                tenants, duration_s=5.0, engine=engine
             )
+            for engine in ("object", "array")
         ]
-        simulator = ServingSimulator(BatchPlanEvaluator(devices, network))
-        with pytest.raises(ValueError, match="engine"):
-            simulator.run(tenants, duration_s=5.0, engine="simd")
+        assert_reports_equal(*reports)
+        assert [r.engine for r in reports] == ["array", "array"]
+        assert reports[0].to_dict() == reports[1].to_dict()
 
     def test_array_engine_needs_batch_api(self, model):
         devices, network = _two_devices()
@@ -359,12 +354,7 @@ class TestValidation:
         ]
         simulator = ServingSimulator(PlanEvaluator(devices, network))
         with pytest.raises(TypeError, match="evaluate_plans"):
-            simulator.run(tenants, duration_s=5.0, engine="array")
-
-    def test_speculation_floor_enforced(self, model):
-        devices, network = _two_devices()
-        with pytest.raises(ValueError, match="speculation"):
-            ArrayServingEngine(BatchPlanEvaluator(devices, network), speculation=1)
+            simulator.run(tenants, duration_s=5.0)
 
     def test_slots_validation(self, model):
         devices, _ = _two_devices()

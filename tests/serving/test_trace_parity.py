@@ -97,16 +97,16 @@ class TestTraceParity:
     def test_array_engine_trace_parity_under_churned_admission(self, model, fleet):
         devices, network = fleet
         tracer = Tracer()
-        run_with_parity(
+        report = run_with_parity(
             BatchPlanEvaluator(devices, network),
             PlanEvaluator(devices, network),
             tenants_for(model, devices),
             duration_s=2.0,
-            engine="array",
             faults=CHURN,
             retry=RETRY,
             tracer=tracer,
         )
+        assert report.engine == "array"
         assert tracer.events
 
     def test_independent_runs_trace_identically(self, model, fleet):

@@ -280,6 +280,32 @@ class TestServe:
         assert code == 2
         assert "--deadline-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--slots", "0"), ("--slots", "two"), ("--deadline-ms", "-5"), ("--deadline-ms", "0")],
+    )
+    def test_serve_rejects_nonpositive_slots_and_deadlines(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--scenario", "gen:n=4,bw=200,types=nano",
+                "--model", "small_vgg", "--tenant", "offload",
+                flag, value, "--duration", "2",
+            ])
+        assert exc.value.code == 2
+        error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert f"argument {flag}" in error_lines[0]
+
+    def test_serve_malformed_generator_number_names_the_field(self, capsys):
+        code = main([
+            "serve", "--scenario", "gen:n=abc", "--model", "small_vgg",
+            "--tenant", "offload", "--duration", "2",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n='abc'" in err
+        assert "invalid literal" not in err
+
     def test_serve_tenant_model_override(self, capsys):
         code = main([
             "serve", "--scenario", "gen:n=4,bw=200,types=nano",
