@@ -26,9 +26,7 @@ Five subcommands cover the common workflows without writing Python:
 
 Clusters are given either as ad-hoc ``--devices`` specs or as ``--scenario``
 references — a catalogue name (``DB``, ``LA``...) or a procedural-generator
-spec like ``gen:n=32,seed=7,bw=50-300,types=mixed``.  ``--workers N`` shards
-plan-batch evaluation across ``N`` worker processes (see
-:class:`~repro.runtime.shard.ShardedPlanEvaluator`).
+spec like ``gen:n=32,seed=7,bw=50-300,types=mixed``.
 
 Examples
 --------
@@ -41,7 +39,7 @@ Examples
     python -m repro.cli evaluate plan.json --bandwidth 50
     python -m repro.cli evaluate plan.json --scenario gen:n=32,seed=7
     python -m repro.cli compare --scenario DB --bandwidth 300 --episodes 150
-    python -m repro.cli compare --scenario gen:n=32,seed=7 --workers 4
+    python -m repro.cli compare --scenario gen:n=32,seed=7
     python -m repro.cli serve --scenario gen:n=16,seed=7 --duration 30 \
         --tenant coedge --tenant offload --traffic traffic:poisson,rate=2
     python -m repro.cli serve --scenario DB --contention --discipline wfq \
@@ -178,10 +176,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         with profiler.section("plan.search"):
             plan = BASELINE_REGISTRY[args.method]().plan(model, devices, network)
     print(plan.describe())
-    if args.workers > 1:
-        # Sharding pays off on plan *batches*; a single plan is always
-        # evaluated in-process (see `compare --workers` for the batch path).
-        print(f"note: --workers {args.workers} has no effect on a single-plan evaluation")
     with profiler.section("plan.evaluate"):
         result = PlanEvaluator(devices, network).evaluate(plan)
     print(f"predicted latency: {result.end_to_end_ms:.1f} ms ({result.ips:.2f} IPS)")
@@ -234,8 +228,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         plan = plan_from_dict(data)
         devices = plan.devices
         network = NetworkModel.constant_from_devices(devices)
-    if args.workers > 1:
-        print(f"note: --workers {args.workers} has no effect on a single-plan evaluation")
     result = PlanEvaluator(devices, network).evaluate(plan)
     summary = evaluation_to_dict(result)
     print(f"method: {plan.method}  model: {plan.model.name}")
@@ -254,23 +246,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if scenario is None:
         return 2
     profiler = Profiler() if args.profile else NULL_PROFILER
-    with ExperimentHarness(
+    harness = ExperimentHarness(
         HarnessConfig(
             osds_episodes=args.episodes,
             num_random_splits=args.random_splits,
             seed=args.seed,
-            workers=args.workers,
             osds_episode_batch=args.episode_batch,
             osds_policy_refresh=args.policy_refresh,
         )
-    ) as harness:
-        with profiler.section("compare.run"):
-            results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
-        print(
-            format_ips_table({scenario.name: harness.ips_table(results)}, methods=list(ALL_METHODS))
-        )
-        print(f"DistrEdge speedup over best baseline: "
-              f"{harness.speedup_over_best_baseline(results):.2f}x")
+    )
+    with profiler.section("compare.run"):
+        results = harness.compare(scenario, methods=ALL_METHODS, model_name=args.model)
+    print(format_ips_table({scenario.name: harness.ips_table(results)}, methods=list(ALL_METHODS)))
+    print(f"DistrEdge speedup over best baseline: "
+          f"{harness.speedup_over_best_baseline(results):.2f}x")
     if profiler.enabled:
         print(profiler.format_table())
     return 0
@@ -354,21 +343,18 @@ def _cmd_serve_figure(args: argparse.Namespace, parsed, deadlines, weights, poli
     scenario = _scenario_from_args(args.scenario, args.bandwidth)
     if scenario is None:
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        curve = serving_load_curve(
-            harness,
-            scenario,
-            rates_rps=rates,
-            methods=[method for method, _ in parsed],
-            model_name=next(iter(models)),
-            duration_s=args.duration,
-            deadline_ms=deadlines,
-            policy=policy,
-            seed=args.seed,
-            weight=weights,
-        )
+    curve = serving_load_curve(
+        ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed)),
+        scenario,
+        rates_rps=rates,
+        methods=[method for method, _ in parsed],
+        model_name=next(iter(models)),
+        duration_s=args.duration,
+        deadline_ms=deadlines,
+        policy=policy,
+        seed=args.seed,
+        weight=weights,
+    )
     print(format_series(curve, title="deadline-miss rate vs offered load"))
     if args.report_json:
         _write_report_json(args.report_json, curve, provenance=_provenance(args))
@@ -586,31 +572,29 @@ def _cmd_serve_plan_capacity(
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        probe = harness.capacity_probe_runner(
-            args.scenario,
-            methods=methods,
-            model_name=model_name,
-            traffic=traffic_list,
-            deadline_ms=deadlines,
-            queue_capacity=None,
-            duration_s=args.duration,
-            policy=policy,
-            weight=weights,
-            slots=args.slots or 1,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-        )
-        tracer = None
-        if args.trace_json:
-            from repro.obs import Tracer
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    probe = harness.capacity_probe_runner(
+        args.scenario,
+        methods=methods,
+        model_name=model_name,
+        traffic=traffic_list,
+        deadline_ms=deadlines,
+        queue_capacity=None,
+        duration_s=args.duration,
+        policy=policy,
+        weight=weights,
+        slots=args.slots or 1,
+        faults=faults,
+        retry=retry,
+        degradation=degradation,
+    )
+    tracer = None
+    if args.trace_json:
+        from repro.obs import Tracer
 
-            tracer = Tracer()
-        planner = CapacityPlanner(probe, config, tracer=tracer)
-        plan = planner.plan()
+        tracer = Tracer()
+    planner = CapacityPlanner(probe, config, tracer=tracer)
+    plan = planner.plan()
     print(format_capacity_plan(plan, title="capacity plan"))
     if tracer is not None:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
@@ -650,33 +634,31 @@ def _cmd_serve_autoscale(
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    with ExperimentHarness(
-        HarnessConfig(osds_episodes=args.episodes, seed=args.seed, workers=args.workers)
-    ) as harness:
-        run_window = harness.autoscale_window_runner(
-            args.scenario,
-            window_s=args.window_s,
-            num_windows=args.windows,
-            methods=methods,
-            model_name=model_name,
-            traffic=traffic_list,
-            deadline_ms=deadlines,
-            queue_capacity=None,
-            policy=policy,
-            weight=weights,
-            slots=args.slots or 1,
-            faults=faults,
-            retry=retry,
-            degradation=degradation,
-        )
-        tracer = None
-        if args.trace_json:
-            from repro.obs import Tracer
+    harness = ExperimentHarness(HarnessConfig(osds_episodes=args.episodes, seed=args.seed))
+    run_window = harness.autoscale_window_runner(
+        args.scenario,
+        window_s=args.window_s,
+        num_windows=args.windows,
+        methods=methods,
+        model_name=model_name,
+        traffic=traffic_list,
+        deadline_ms=deadlines,
+        queue_capacity=None,
+        policy=policy,
+        weight=weights,
+        slots=args.slots or 1,
+        faults=faults,
+        retry=retry,
+        degradation=degradation,
+    )
+    tracer = None
+    if args.trace_json:
+        from repro.obs import Tracer
 
-            tracer = Tracer()
-        report = FleetAutoscaler(run_window, config, tracer=tracer).run(
-            args.windows, initial_devices=lo
-        )
+        tracer = Tracer()
+    report = FleetAutoscaler(run_window, config, tracer=tracer).run(
+        args.windows, initial_devices=lo
+    )
     print(format_autoscale_report(report, title="autoscaled serving"))
     if tracer is not None:
         tracer.write_chrome(args.trace_json, provenance=_provenance(args))
@@ -688,7 +670,6 @@ def _cmd_serve_autoscale(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.batch import BatchPlanEvaluator
-    from repro.runtime.shard import ShardedPlanEvaluator
     from repro.serving import ServingSimulator, run_with_parity
     from repro.experiments.reporting import (
         format_fault_report,
@@ -802,14 +783,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    sharded = None
-    if args.workers >= 2:
-        sharded = ShardedPlanEvaluator(scenario, num_workers=args.workers, seed=args.seed)
-        evaluator = sharded
-        devices, network = sharded.devices, sharded.network
-    else:
-        devices, network = scenario.build(seed=args.seed)
-        evaluator = BatchPlanEvaluator(devices, network)
+    devices, network = scenario.build(seed=args.seed)
+    evaluator = BatchPlanEvaluator(devices, network)
     print(f"scenario: {scenario.name} ({scenario.num_devices} providers)")
     tracer = metrics = profiler = None
     if args.trace_json or args.metrics_json or args.profile:
@@ -822,84 +797,80 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.profile:
             profiler = Profiler()
             evaluator.profiler = profiler
-    try:
-        tenants = _build_tenants(
-            args, parsed, devices, network,
-            traffics, deadlines, capacities, weights, slot_counts,
+    tenants = _build_tenants(
+        args, parsed, devices, network,
+        traffics, deadlines, capacities, weights, slot_counts,
+    )
+    if tenants is None:
+        return 2
+    if args.mode == "parity":
+        reference = PlanEvaluator(devices, network)
+        report = run_with_parity(
+            evaluator,
+            reference,
+            tenants,
+            duration_s=args.duration,
+            policy=policy,
+            faults=faults,
+            retry=retry,
+            degradation=degradation,
+            tracer=tracer,
         )
-        if tenants is None:
-            return 2
-        if args.mode == "parity":
-            reference = PlanEvaluator(devices, network)
-            report = run_with_parity(
-                evaluator,
-                reference,
-                tenants,
-                duration_s=args.duration,
-                policy=policy,
-                faults=faults,
-                retry=retry,
-                degradation=degradation,
-                tracer=tracer,
-            )
-            print("parity: batched loop is bit-identical to the reference loop")
-            if metrics is not None:
-                # run_with_parity returns the committed report; derive the
-                # registry from it exactly as ServingSimulator.run would.
-                record_serving_report(metrics, report)
-        else:
-            simulator = ServingSimulator(evaluator)
-            if profiler is not None:
-                simulator.profiler = profiler
-            report = simulator.run(
-                tenants,
-                duration_s=args.duration,
-                mode=args.mode,
-                policy=policy,
-                faults=faults,
-                retry=retry,
-                degradation=degradation,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        print(format_serving_table(report))
-        if report.fleet is not None:
-            print(format_fleet_table(report, title="fleet lane load"))
-        if report.faults is not None:
-            print(format_fault_report(report, title="fleet churn"))
-        if report.slo_violations:
-            print(f"SLO violations: {', '.join(report.slo_violations)}")
-        if alert_monitor is not None:
-            from repro.experiments.reporting import format_alert_timeline
-
-            # Evaluate before the trace is written so the alert instants
-            # land on the control:slo track of --trace-json.
-            timeline = alert_monitor.evaluate(report, tracer=tracer)
-            if args.alerts:
-                print(format_alert_timeline(timeline, title="SLO burn-rate alerts"))
-            if args.alerts_json:
-                _write_report_json(
-                    args.alerts_json, timeline.to_dict(), provenance=_provenance(args)
-                )
-        if tracer is not None:
-            tracer.write_chrome(args.trace_json, provenance=_provenance(args))
-            print(f"trace written to {args.trace_json}")
+        print("parity: batched loop is bit-identical to the reference loop")
         if metrics is not None:
-            import json
-            from pathlib import Path
-
-            snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
-            Path(args.metrics_json).write_text(
-                json.dumps(snapshot, indent=2) + "\n"
-            )
-            print(f"metrics written to {args.metrics_json}")
+            # run_with_parity returns the committed report; derive the
+            # registry from it exactly as ServingSimulator.run would.
+            record_serving_report(metrics, report)
+    else:
+        simulator = ServingSimulator(evaluator)
         if profiler is not None:
-            print(profiler.format_table())
-        if args.report_json:
-            _write_report_json(args.report_json, report.to_dict(), provenance=_provenance(args))
-    finally:
-        if sharded is not None:
-            sharded.close()
+            simulator.profiler = profiler
+        report = simulator.run(
+            tenants,
+            duration_s=args.duration,
+            mode=args.mode,
+            policy=policy,
+            faults=faults,
+            retry=retry,
+            degradation=degradation,
+            tracer=tracer,
+            metrics=metrics,
+        )
+    print(format_serving_table(report))
+    if report.fleet is not None:
+        print(format_fleet_table(report, title="fleet lane load"))
+    if report.faults is not None:
+        print(format_fault_report(report, title="fleet churn"))
+    if report.slo_violations:
+        print(f"SLO violations: {', '.join(report.slo_violations)}")
+    if alert_monitor is not None:
+        from repro.experiments.reporting import format_alert_timeline
+
+        # Evaluate before the trace is written so the alert instants
+        # land on the control:slo track of --trace-json.
+        timeline = alert_monitor.evaluate(report, tracer=tracer)
+        if args.alerts:
+            print(format_alert_timeline(timeline, title="SLO burn-rate alerts"))
+        if args.alerts_json:
+            _write_report_json(
+                args.alerts_json, timeline.to_dict(), provenance=_provenance(args)
+            )
+    if tracer is not None:
+        tracer.write_chrome(args.trace_json, provenance=_provenance(args))
+        print(f"trace written to {args.trace_json}")
+    if metrics is not None:
+        import json
+        from pathlib import Path
+
+        snapshot = {**metrics.snapshot(), "provenance": _provenance(args)}
+        Path(args.metrics_json).write_text(
+            json.dumps(snapshot, indent=2) + "\n"
+        )
+        print(f"metrics written to {args.metrics_json}")
+    if profiler is not None:
+        print(profiler.format_table())
+    if args.report_json:
+        _write_report_json(args.report_json, report.to_dict(), provenance=_provenance(args))
     return 0
 
 
@@ -1028,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "to this rate in Mbps")
     p_plan.add_argument("--method", default="distredge",
                         choices=["distredge", *sorted(BASELINE_REGISTRY)])
-    p_plan.add_argument("--episodes", type=int, default=200)
+    p_plan.add_argument("--episodes", type=_positive_int, default=200)
     p_plan.add_argument("--episode-batch", type=int, default=8,
                         help="OSDS episodes rolled out in lockstep per vectorised "
                              "round (execution width only; results are bit-identical "
@@ -1039,11 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="episodes between OSDS acting-policy snapshot refreshes "
                              "(semantic: changing it changes which policy explores)")
     p_plan.add_argument("--alpha", type=float, default=0.75)
-    p_plan.add_argument("--random-splits", type=int, default=30)
+    p_plan.add_argument("--random-splits", type=_positive_int, default=30)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded batch evaluation "
-                             "(no effect on a single plan; see compare)")
     p_plan.add_argument("--output", default=None, help="write the plan to this JSON file")
     p_plan.add_argument("--profile", action="store_true",
                         help="print a wall-clock profile of the planning search "
@@ -1062,10 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "resolve it; device types must match the plan")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="scenario build seed (trace construction)")
-    p_eval.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded batch evaluation "
-                             "(no effect on a single plan; accepted for "
-                             "interface consistency with plan/compare)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_serve = sub.add_parser(
@@ -1093,10 +1057,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "--traffic is given")
     p_serve.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                          help="repeatable per-tenant SLO deadline (ms); default 1000")
-    p_serve.add_argument("--queue-capacity", action="append", type=int, default=None,
+    p_serve.add_argument("--queue-capacity", action="append", type=_positive_int, default=None,
                          help="repeatable per-tenant admission bound (waiting "
                               "requests); default unbounded")
-    p_serve.add_argument("--duration", type=float, default=30.0,
+    p_serve.add_argument("--duration", type=_positive_float, default=30.0,
                          help="open-loop arrival horizon (simulated seconds)")
     p_serve.add_argument("--mode", choices=["batched", "reference", "parity"],
                          default="batched",
@@ -1104,11 +1068,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "without --contention), naive per-request "
                               "reference, or parity (run both and assert "
                               "bit-identical)")
-    p_serve.add_argument("--episodes", type=int, default=50,
+    p_serve.add_argument("--episodes", type=_positive_int, default=50,
                          help="OSDS episodes for distredge tenants")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="shard epoch batches over N worker processes")
     p_serve.add_argument("--contention", action="store_true",
                          help="model shared-fleet lane contention: concurrent "
                               "requests queue on per-device compute/send/recv "
@@ -1269,8 +1231,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 0.05)")
     p_serve.add_argument("--profile", action="store_true",
                          help="print a wall-clock profile of where the run's "
-                              "host time went (evaluator sweeps, shard "
-                              "dispatch/merge, cache hit rates); wall-clock "
+                              "host time went (evaluator sweeps, array-engine "
+                              "epochs, cache hit rates); wall-clock "
                               "only — never affects simulated results")
     p_serve.add_argument("--figure", action="store_true",
                          help="sweep Poisson offered load over --figure-rates and "
@@ -1320,10 +1282,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="default Poisson arrival rate (req/s)")
     p_an.add_argument("--deadline-ms", action="append", type=_positive_float, default=None,
                       help="repeatable per-tenant SLO deadline (ms); default 1000")
-    p_an.add_argument("--duration", type=float, default=30.0,
+    p_an.add_argument("--duration", type=_positive_float, default=30.0,
                       help="open-loop arrival horizon (simulated seconds)")
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--episodes", type=int, default=50,
+    p_an.add_argument("--episodes", type=_positive_int, default=50,
                       help="OSDS episodes for distredge tenants")
     p_an.add_argument("--contention", action="store_true",
                       help="model shared-fleet lane contention, as in serve "
@@ -1362,16 +1324,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-shape every link of a catalogue --scenario to this "
                             "rate in Mbps; not applicable to gen: scenarios")
     p_cmp.add_argument("--model", default="vgg16", choices=model_zoo.list_models())
-    p_cmp.add_argument("--episodes", type=int, default=150)
+    p_cmp.add_argument("--episodes", type=_positive_int, default=150)
     p_cmp.add_argument("--episode-batch", type=int, default=8,
                        help="OSDS episodes rolled out in lockstep per vectorised round "
                             "(capped at --policy-refresh)")
     p_cmp.add_argument("--policy-refresh", type=int, default=8,
                        help="episodes between OSDS acting-policy snapshot refreshes")
-    p_cmp.add_argument("--random-splits", type=int, default=20)
+    p_cmp.add_argument("--random-splits", type=_positive_int, default=20)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sharded plan evaluation")
     p_cmp.add_argument("--profile", action="store_true",
                        help="print a wall-clock profile of the comparison run "
                             "(host time only)")

@@ -105,7 +105,7 @@ class Scenario:
     ) -> "Scenario":
         """Wrap an ad-hoc ``(type, bandwidth)`` list (e.g. a CLI ``--devices``
         cluster) so it can flow through scenario-based machinery such as
-        :class:`~repro.runtime.shard.ShardedPlanEvaluator`."""
+        :meth:`build`."""
         specs = tuple((t, float(b)) for t, b in device_specs)
         return cls(
             name=name,
@@ -382,8 +382,8 @@ def generate_scenario(
         Fleet size; the large-scale experiments use 16-64.
     seed:
         Seed of the fleet-composition RNG.  The same knob values always
-        produce the identical scenario (name included), which is what lets a
-        sharded evaluator's worker processes rebuild the fleet from the spec.
+        produce the identical scenario (name included), so a ``gen:`` spec
+        names one fleet everywhere it is resolved.
     bandwidth_mbps:
         Either a single rate applied to every link or a ``(low, high)`` range
         sampled per device (rounded to whole Mbps, then clamped to the range

@@ -21,8 +21,7 @@ cluster.  This package adds the traffic-facing layer the ROADMAP's
 * :mod:`repro.serving.engine` — the contention-free batched loop: per-tenant
   NumPy request columns driven by a vectorised time-wheel with slot pools
   and epoch speculation, whose evaluations go through
-  :class:`~repro.runtime.batch.BatchPlanEvaluator` /
-  :class:`~repro.runtime.shard.ShardedPlanEvaluator` sweeps grouped by
+  :class:`~repro.runtime.batch.BatchPlanEvaluator` sweeps grouped by
   network state.
 * :mod:`repro.serving.control` — the predictive control plane: deny-at-
   admission (``ClusterPolicy(admission="predictive")``), the between-windows

@@ -25,10 +25,6 @@ Tenant chains are independent (each tenant owns its service slots, see
 :mod:`repro.serving.tenants`), which is what lets an epoch advance all of
 them in lockstep without reordering any tenant's own sequential decisions.
 
-Pass a :class:`~repro.runtime.shard.ShardedPlanEvaluator` as the evaluator to
-fan epoch batches out to its persistent worker pool (small epochs stay
-in-process automatically via its ``min_shard_size`` rule).
-
 Passing a :class:`~repro.serving.dispatch.ClusterPolicy` replaces the
 independent-tenants model with **shared-fleet contention**: requests reach
 persistent per-device lanes in the policy's discipline order (FIFO /
@@ -313,8 +309,7 @@ class ServingSimulator:
     evaluator:
         The evaluator bound to the shared cluster.  ``mode="batched"``
         requires an ``evaluate_plans`` batch API
-        (:class:`~repro.runtime.batch.BatchPlanEvaluator` or
-        :class:`~repro.runtime.shard.ShardedPlanEvaluator`); the reference
+        (:class:`~repro.runtime.batch.BatchPlanEvaluator`); the reference
         mode accepts any :class:`~repro.runtime.evaluator.PlanEvaluator`.
     """
 
@@ -340,7 +335,7 @@ class ServingSimulator:
             # so the batch API is only required for independent batched runs.
             raise TypeError(
                 "batched serving needs an evaluator with evaluate_plans "
-                "(BatchPlanEvaluator / ShardedPlanEvaluator); "
+                "(BatchPlanEvaluator); "
                 f"got {type(self.evaluator).__name__} — use mode='reference' for it"
             )
         if not tenants:
@@ -925,6 +920,23 @@ def assert_traces_equal(batched: Tracer, reference: Tracer) -> None:
     raise ParityMismatch(errors)
 
 
+def _assert_requests_conserved(report: ServingReport, loop: str) -> None:
+    """Every arrival ends exactly one way: completed, rejected, denied, shed
+    or abandoned.  Checked from the report's counters alone, so it shares no
+    code with the loops that produced them."""
+    for t in report.tenants:
+        settled = (
+            t.num_completed + t.num_rejected + t.num_denied + t.num_shed + t.num_abandoned
+        )
+        if t.num_arrivals != settled:
+            raise AssertionError(
+                f"{loop} loop, tenant {t.name!r}: {t.num_arrivals} arrivals but "
+                f"{settled} settled (completed {t.num_completed}, rejected "
+                f"{t.num_rejected}, denied {t.num_denied}, shed {t.num_shed}, "
+                f"abandoned {t.num_abandoned})"
+            )
+
+
 def run_with_parity(
     batched_evaluator: PlanEvaluator,
     reference_evaluator: PlanEvaluator,
@@ -944,7 +956,9 @@ def run_with_parity(
     Stateful adaptation hooks must be supplied as ``hook_factory`` (a fresh
     controller per run) — a bare ``adaptation_hook`` would carry first-run
     state into the second run and make the comparison meaningless, so it is
-    rejected here.  Without ``policy`` the batched side is the array
+    rejected here.  Both reports must also conserve requests: for every
+    tenant, arrivals equal completed + rejected + denied + shed + abandoned.
+    Without ``policy`` the batched side is the array
     engine, so this is its bit-exact correctness contract against the
     scalar reference loop; ``policy`` runs both loops in shared-fleet
     contention mode (the contended-schedule memo against the per-request
@@ -1004,6 +1018,8 @@ def run_with_parity(
         degradation=degradation,
         tracer=batched_tracer,
     )
+    _assert_requests_conserved(reference, "reference")
+    _assert_requests_conserved(batched, "batched")
     assert_reports_equal(batched, reference)
     if compare_traces:
         assert_traces_equal(batched_tracer, reference_tracer)

@@ -19,6 +19,7 @@ from repro.devices.profiles import (
     TabularProfile,
 )
 from repro.devices.specs import make_cluster
+from repro.experiments.scenarios import ScenarioCatalog, generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.splitting import SplitDecision
@@ -106,14 +107,21 @@ class TestParity:
                 assert np.array_equal(vt_b.finish_ms, vt_s.finish_ms)
 
     def test_parity_on_dynamic_network_at_nonzero_time(self, model, mixed_devices):
-        network = NetworkModel.from_devices(mixed_devices, kind="dynamic", seed=3)
-        scalar = PlanEvaluator(mixed_devices, network, memoize_compute=False)
-        batch = BatchPlanEvaluator(mixed_devices, network)
+        # A hand-built dynamic trace plus the fleets and traces the scenario
+        # builders produce (catalogue and generated).
+        worlds = [
+            (mixed_devices, NetworkModel.from_devices(mixed_devices, kind="dynamic", seed=3)),
+            ScenarioCatalog.dynamic_nano().build(seed=0),
+            generate_scenario(12, seed=5, trace_kind="dynamic").build(seed=0),
+        ]
         boundaries = [0, 6, model.num_spatial_layers]
-        plans = random_plans(model, mixed_devices, boundaries, 8, seed=5)
-        for t_seconds in (0.0, 137.5):
-            for plan, batch_result in zip(plans, batch.evaluate_plans(plans, t_seconds)):
-                assert_results_match(scalar.evaluate(plan, t_seconds), batch_result)
+        for devices, network in worlds:
+            scalar = PlanEvaluator(devices, network, memoize_compute=False)
+            batch = BatchPlanEvaluator(devices, network)
+            plans = random_plans(model, devices, boundaries, 8, seed=5)
+            for t_seconds in (0.0, 17.25, 137.5):
+                for plan, batch_result in zip(plans, batch.evaluate_plans(plans, t_seconds)):
+                    assert_results_match(scalar.evaluate(plan, t_seconds), batch_result)
 
     def test_parity_without_dense_head(self, mixed_devices):
         """YOLOv2 has no FC head: outputs return directly to the requester."""

@@ -14,13 +14,11 @@ import pytest
 from repro.baselines import CoEdgePlanner
 from repro.core.online import PeriodicReplanController
 from repro.devices.specs import make_cluster
-from repro.experiments.scenarios import generate_scenario
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
-from repro.runtime.shard import ShardedPlanEvaluator
 from repro.serving import (
     SLO,
     DiurnalArrivals,
@@ -148,27 +146,6 @@ class TestParity:
         assert adaptive.replan_times_s, "the controller never replanned; test is vacuous"
         assert adaptive.final_method == "coedge"
 
-    def test_sharded_evaluator_parity(self, model):
-        """The epoch loop may hand its batches to a sharded worker pool."""
-        scenario = generate_scenario(4, seed=11, bandwidth_mbps=200.0, heterogeneity="nano")
-        with ShardedPlanEvaluator(scenario, num_workers=2, min_shard_size=1) as sharded:
-            devices, network = sharded.devices, sharded.network
-            tenants = [
-                TenantSpec(
-                    "s0",
-                    DistributionPlan.single_device(model, devices, 0),
-                    traffic=PoissonArrivals(5.0, seed=1),
-                ),
-                TenantSpec(
-                    "s1",
-                    _split_plan(model, devices),
-                    traffic=PoissonArrivals(5.0, seed=2),
-                ),
-            ]
-            run_with_parity(
-                sharded, PlanEvaluator(devices, network), tenants, duration_s=8.0
-            )
-
     def test_parity_rejects_bare_stateful_hooks(self, model):
         devices = make_cluster([("nano", 100), ("nano", 100)])
         network = NetworkModel.constant_from_devices(devices)
@@ -202,3 +179,46 @@ class TestParity:
         b = simulator.run([tenant], duration_s=6.0)  # different workload
         with pytest.raises(AssertionError):
             assert_reports_equal(a, b)
+
+    def test_parity_asserts_request_conservation(self, model, monkeypatch):
+        """Two identical reports that lose a request still fail the run."""
+        import numpy as np
+
+        from repro.serving.simulator import ServingReport
+        from repro.serving.tenants import TenantReport
+
+        two = np.array([0.1, 0.2])
+        lossy = TenantReport(
+            name="t",
+            slo=None,
+            arrival_s=two,
+            start_s=two,
+            completion_s=two + 0.05,
+            latency_ms=np.array([50.0, 50.0]),
+            response_ms=np.array([50.0, 50.0]),
+            deadline_missed=np.zeros(2, dtype=bool),
+            num_arrivals=3,  # the third arrival never settles
+            num_rejected=0,
+            rejected_times_s=[],
+            replan_times_s=[],
+            queue_depth_series=np.zeros((0, 2)),
+            final_method="offload",
+            busy_until_s=0.25,
+        )
+        report = ServingReport(tenants=[lossy], start_s=0.0, duration_s=1.0, mode="batched")
+        monkeypatch.setattr(ServingSimulator, "run", lambda self, *a, **k: report)
+        devices = make_cluster([("nano", 100), ("nano", 100)])
+        network = NetworkModel.constant_from_devices(devices)
+        tenant = TenantSpec(
+            "t",
+            DistributionPlan.single_device(model, devices, 0),
+            traffic=PoissonArrivals(2.0, seed=1),
+        )
+        with pytest.raises(AssertionError, match="3 arrivals but 2 settled"):
+            run_with_parity(
+                BatchPlanEvaluator(devices, network),
+                PlanEvaluator(devices, network),
+                [tenant],
+                duration_s=1.0,
+                compare_traces=False,
+            )

@@ -23,14 +23,12 @@ class TestParser:
     def test_compare_defaults(self):
         args = build_parser().parse_args(["compare"])
         assert args.scenario == "DB"
-        assert args.workers == 1
 
     def test_plan_scenario_flag(self):
         args = build_parser().parse_args(
-            ["plan", "--scenario", "gen:n=8,seed=3", "--workers", "4"]
+            ["plan", "--scenario", "gen:n=8,seed=3"]
         )
         assert args.scenario == "gen:n=8,seed=3"
-        assert args.workers == 4
         assert args.devices is None
 
     def test_plan_devices_and_scenario_mutually_exclusive(self):
@@ -88,15 +86,11 @@ class TestCommands:
             "--model", "small_vgg",
             "--scenario", "gen:n=4,bw=200,types=nano",
             "--method", "aofl",
-            "--workers", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "gen-4d-nano-bw200-constant-s0" in out
         assert "predicted latency" in out
-        # A single-plan evaluation cannot shard; the CLI says so instead of
-        # silently spinning up (and wasting) a worker pool.
-        assert "no effect on a single-plan evaluation" in out
 
     def test_plan_catalogue_scenario(self, capsys):
         code = main([
@@ -197,14 +191,6 @@ class TestEvaluateScenario:
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_workers_flag_notes_single_plan(self, tmp_path, capsys):
-        spec = "gen:n=4,bw=200,types=nano"
-        plan_path = self._save_plan(tmp_path, spec)
-        capsys.readouterr()
-        code = main(["evaluate", str(plan_path), "--scenario", spec, "--workers", "4"])
-        assert code == 0
-        assert "no effect on a single-plan evaluation" in capsys.readouterr().out
-
 
 class TestServe:
     def test_serve_defaults(self):
@@ -280,17 +266,35 @@ class TestServe:
         assert code == 2
         assert "--deadline-ms" in capsys.readouterr().err
 
+    SERVE = ["serve", "--scenario", "gen:n=4,bw=200,types=nano", "--model", "small_vgg",
+             "--tenant", "offload", "--duration", "2"]
+    ANALYZE = ["analyze", "--scenario", "gen:n=4,bw=200,types=nano", "--model", "small_vgg",
+               "--tenant", "offload", "--duration", "2"]
+    PLAN = ["plan", "--scenario", "DB", "--model", "small_vgg"]
+    COMPARE = ["compare", "--model", "small_vgg", "--episodes", "2"]
+
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--slots", "0"), ("--slots", "two"), ("--deadline-ms", "-5"), ("--deadline-ms", "0")],
+        "argv, flag, value",
+        [
+            pytest.param(SERVE, "--slots", "0", id="--slots-0"),
+            pytest.param(SERVE, "--slots", "two", id="--slots-two"),
+            pytest.param(SERVE, "--deadline-ms", "-5", id="--deadline-ms--5"),
+            pytest.param(SERVE, "--deadline-ms", "0", id="--deadline-ms-0"),
+            pytest.param(SERVE, "--duration", "0", id="serve---duration-0"),
+            pytest.param(SERVE, "--queue-capacity", "-3", id="serve---queue-capacity--3"),
+            pytest.param(SERVE, "--episodes", "0", id="serve---episodes-0"),
+            pytest.param(ANALYZE, "--duration", "-1", id="analyze---duration--1"),
+            pytest.param(ANALYZE, "--episodes", "0", id="analyze---episodes-0"),
+            pytest.param(PLAN, "--episodes", "0", id="plan---episodes-0"),
+            pytest.param(PLAN, "--random-splits", "0", id="plan---random-splits-0"),
+            pytest.param(COMPARE, "--random-splits", "-1", id="compare---random-splits--1"),
+            pytest.param(COMPARE, "--episodes", "0", id="compare---episodes-0"),
+        ],
     )
-    def test_serve_rejects_nonpositive_slots_and_deadlines(self, capsys, flag, value):
+    def test_serve_rejects_nonpositive_slots_and_deadlines(self, capsys, argv, flag, value):
+        """Count and duration flags fail at the argparse boundary, naming the flag."""
         with pytest.raises(SystemExit) as exc:
-            main([
-                "serve", "--scenario", "gen:n=4,bw=200,types=nano",
-                "--model", "small_vgg", "--tenant", "offload",
-                flag, value, "--duration", "2",
-            ])
+            main([*argv, flag, value])
         assert exc.value.code == 2
         error_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(error_lines) == 1
