@@ -136,11 +136,6 @@ class OnlineDistrEdgeController:
     finetune_episodes:
         Number of OSDS episodes used when fine-tuning after a partition
         change.
-    evaluator:
-        Optional externally-owned evaluator to score candidates and step the
-        splitting MDP through, e.g. one whose plan cache is shared with
-        other callers.  Default: a private
-        :class:`~repro.runtime.batch.BatchPlanEvaluator`.
     """
 
     model: ModelSpec
@@ -151,7 +146,6 @@ class OnlineDistrEdgeController:
     replan_threshold: float = 0.25
     partition_replan_delay_s: float = 120.0
     finetune_episodes: int = 50
-    evaluator: Optional[object] = None
     replan_log: List[float] = field(default_factory=list)
     decision_log: List[float] = field(default_factory=list)
 
@@ -159,7 +153,7 @@ class OnlineDistrEdgeController:
         # Batch path: candidate split decisions are scored in one vectorised
         # call per refresh, and re-considering the plan currently in service
         # is a cache hit whenever the network state has not changed.
-        self._evaluator = self.evaluator or BatchPlanEvaluator(
+        self._evaluator = BatchPlanEvaluator(
             self.devices,
             self.network,
             input_bytes_per_element=self.distredge.config.input_bytes_per_element,

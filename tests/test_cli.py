@@ -292,7 +292,9 @@ class TestServe:
         ],
     )
     def test_serve_rejects_nonpositive_slots_and_deadlines(self, capsys, argv, flag, value):
-        """Count and duration flags fail at the argparse boundary, naming the flag."""
+        """Count and duration flags of serve, analyze, plan and compare fail at
+        the argparse boundary, naming the flag (not only serve's slots and
+        deadlines)."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
