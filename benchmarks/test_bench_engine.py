@@ -1,13 +1,14 @@
 """Array-engine benchmark: 100-tenant fleet, array engine vs reference loop.
 
 The array engine's gate: a 100-tenant open-loop workload (tenants cycling
-the four baseline methods so plan-signature groups stay realistic while
-per-tenant bookkeeping dominates) on a generated 32-device fleet is driven
+the four baseline methods, so many tenants share each plan while per-tenant
+bookkeeping dominates) on a generated 32-device fleet is driven
 once through the naive per-request reference loop (``mode="reference"``:
 one scalar :meth:`~repro.runtime.evaluator.PlanEvaluator.evaluate` call
 per request, the semantics oracle) and through the array engine
-(``mode="batched"`` — NumPy column commits with epoch speculation, the
-contention-free batched loop), both in this same run.  The array rounds
+(``mode="batched"`` — per-tenant memoized evaluations, NumPy column
+commits and epoch speculation, the contention-free batched loop), both in
+this same run.  The array rounds
 run first, so their throughput matches what ``bench-obs`` measures on the
 same workload with tracing off.
 

@@ -8,7 +8,9 @@ gates both on the array engine's own gated workload (the 100-tenant,
   instrumented loops pay one ``enabled`` attribute check per hook site.
   The gate asserts throughput within ``MAX_OFF_LOSS`` (5%) of the
   committed ``BENCH_engine.json`` array throughput — the same workload,
-  measured before the hooks existed or on the last enforced run.
+  measured on the last enforced run.  Re-record that file whenever the
+  engine's own speed changes: against a stale, slower baseline the 5%
+  gate cannot catch a regression.
 * **On is bounded.**  With a live ``Tracer`` + ``MetricsRegistry``, the
   run slows by at most ``MAX_ON_OVERHEAD`` (25%): lifecycle derivation is
   deferred (``Tracer.defer_report`` is O(1); events materialise at first

@@ -7,8 +7,9 @@ naive per-request reference loop (one scalar
 :meth:`~repro.runtime.evaluator.PlanEvaluator.evaluate` call per request)
 and once through the batched loop, which is the array engine
 (:class:`~repro.serving.engine.ArrayServingEngine` over
-:class:`~repro.runtime.batch.BatchPlanEvaluator` — signature-grouped
-``evaluate_plans`` epochs, NumPy column commits and epoch speculation).
+:class:`~repro.runtime.batch.BatchPlanEvaluator` — per-tenant memoized
+evaluations keyed on the network-state signature, NumPy column commits
+and epoch speculation).
 
 The gate asserts the batched event loop serves the workload at least
 ``MIN_SPEEDUP`` (5x) faster in wall time, and that the two loops' reports

@@ -59,6 +59,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -94,6 +95,19 @@ def _positive_float(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """argparse type: a file to write, whose directory must already exist.
+
+    Checked at parse time so a long run never ends in a failed write.
+    """
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory {directory!r} of {text!r} does not exist"
+        )
+    return text
 
 
 def _parse_device_specs(specs: Sequence[str]) -> List[tuple]:
@@ -1012,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--alpha", type=float, default=0.75)
     p_plan.add_argument("--random-splits", type=_positive_int, default=30)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--output", default=None, help="write the plan to this JSON file")
+    p_plan.add_argument("--output", type=_output_path, default=None,
+                        help="write the plan to this JSON file")
     p_plan.add_argument("--profile", action="store_true",
                         help="print a wall-clock profile of the planning search "
                              "and final evaluation (host time only)")
@@ -1186,11 +1201,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "serving_load_curve knee divided by its fleet "
                               "size; the autoscaler then jumps straight to "
                               "ceil(arrival rate / capacity) devices")
-    p_serve.add_argument("--report-json", default=None, metavar="PATH",
+    p_serve.add_argument("--report-json", type=_output_path, default=None, metavar="PATH",
                          help="write the serving report (or the --figure curve) "
                               "as JSON to PATH, stamped with a provenance "
                               "block (repro version, argv, scenario)")
-    p_serve.add_argument("--trace-json", default=None, metavar="PATH",
+    p_serve.add_argument("--trace-json", type=_output_path, default=None, metavar="PATH",
                          help="write a Chrome trace-event JSON timeline of the "
                               "run to PATH (open in Perfetto / "
                               "chrome://tracing, or feed to repro analyze); "
@@ -1199,7 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "same provenance block as --report-json; with "
                               "--plan-capacity/--autoscale, the control-plane "
                               "probe/window timeline instead")
-    p_serve.add_argument("--metrics-json", default=None, metavar="PATH",
+    p_serve.add_argument("--metrics-json", type=_output_path, default=None, metavar="PATH",
                          help="write the run's metrics registry snapshot "
                               "(counters, gauges, latency histograms) as JSON "
                               "to PATH, stamped with the same provenance "
@@ -1211,7 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "the alert timeline (a fast/slow window pair "
                               "must both exceed --alert-burn to fire; see "
                               "docs/observability.md)")
-    p_serve.add_argument("--alerts-json", default=None, metavar="PATH",
+    p_serve.add_argument("--alerts-json", type=_output_path, default=None, metavar="PATH",
                          help="write the alert timeline as JSON to PATH "
                               "(implies alert evaluation), stamped with the "
                               "same provenance block as --report-json")
@@ -1251,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(Chrome trace-event JSON) instead of running "
                            "inline; the event stream round-trips bit-exactly, "
                            "so the attribution matches the original run")
-    p_an.add_argument("--report-json", default=None, metavar="PATH",
+    p_an.add_argument("--report-json", type=_output_path, default=None, metavar="PATH",
                       help="write the analysis report as JSON to PATH, "
                            "stamped with a provenance block (repro version, "
                            "argv, scenario)")

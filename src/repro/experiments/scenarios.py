@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.devices.specs import DEVICE_CATALOG, DeviceInstance, make_cluster
+from repro.network.bandwidth import TRACE_KINDS
 from repro.network.topology import NetworkModel
 from repro.utils.rng import SeedLike, as_rng
 
@@ -399,6 +400,8 @@ def generate_scenario(
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+    if trace_kind not in TRACE_KINDS:
+        raise ValueError(f"unknown trace={trace_kind!r}; expected {'|'.join(TRACE_KINDS)}")
     pool = _resolve_type_pool(heterogeneity)
     if isinstance(bandwidth_mbps, (int, float)):
         low = high = float(bandwidth_mbps)

@@ -165,6 +165,10 @@ class DynamicTrace(BandwidthTrace):
         return np.interp(ts, self._grid, self._values)
 
 
+#: Trace families :func:`make_trace` builds.
+TRACE_KINDS = ("constant", "wifi", "dynamic")
+
+
 def make_trace(
     mbps: float,
     kind: str = "wifi",
@@ -188,7 +192,14 @@ def make_trace(
             seed=seed,
             **kwargs,
         )
-    raise ValueError(f"unknown trace kind {kind!r}; expected constant|wifi|dynamic")
+    raise ValueError(f"unknown trace kind {kind!r}; expected {'|'.join(TRACE_KINDS)}")
 
 
-__all__ = ["BandwidthTrace", "ConstantTrace", "WiFiTrace", "DynamicTrace", "make_trace"]
+__all__ = [
+    "BandwidthTrace",
+    "ConstantTrace",
+    "WiFiTrace",
+    "DynamicTrace",
+    "TRACE_KINDS",
+    "make_trace",
+]

@@ -471,6 +471,10 @@ def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
     """
     tenants: Dict[str, _TenantEvents] = {}
     tenants_get = tenants.get
+    #: Track -> its tenant's events (``None`` for non-tenant tracks), so
+    #: each event costs one dict lookup instead of a prefix test and slice.
+    by_track: Dict[str, Optional[_TenantEvents]] = {}
+    by_track_get = by_track.get
 
     # The stream is large (four lifecycle events per request plus lane
     # spans) and this loop dominates `repro analyze`, so it unpacks the
@@ -488,12 +492,17 @@ def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
                 entry = tenants[tenant_name] = _TenantEvents(tenant_name)
             entry.spans.append((ts_ms, track, dur_ms, raw_args))
             continue
-        if not track.startswith("tenant:"):
-            continue
-        tenant_name = track[7:]  # len("tenant:")
-        entry = tenants_get(tenant_name)
+        entry = by_track_get(track, by_track)
+        if entry is by_track:  # first event on this track
+            entry = None
+            if track.startswith("tenant:"):
+                tenant_name = track[7:]  # len("tenant:")
+                entry = tenants_get(tenant_name)
+                if entry is None:
+                    entry = tenants[tenant_name] = _TenantEvents(tenant_name)
+            by_track[track] = entry
         if entry is None:
-            entry = tenants[tenant_name] = _TenantEvents(tenant_name)
+            continue
         if kind == "request":
             if name == "serve":
                 latency = dur_ms
@@ -608,35 +617,38 @@ def analyze_events(events: Iterable[TraceEvent]) -> AnalysisReport:
         truncated_attempts += truncated_here
         rollup.lost_attempts += truncated_here
 
+        final_get = entry.final_by_release.get
+        by_label = rollup.by_label
         for index, ((start_ms, latency_ms), queue_ms) in enumerate(
             zip(entry.serve, entry.queue)
         ):
-            final = entry.final_by_release.get(start_ms)
-            if final is None:
-                segments = [Segment("service", "", 0.0, latency_ms)]
-                contended = False
-                gate_wait = 0.0
-                lane_wait = 0.0
-            else:
-                gate_wait, contended = final
-                segments = _tile_request(
-                    latency_ms, gate_wait, spans_by_release.get(start_ms, [])
-                )
-                lane_wait = wait_by_release.get(start_ms, 0.0)
-            requests.append(RequestAttribution(
-                name, index, start_ms, latency_ms, queue_ms,
-                contended, gate_wait, lane_wait, segments,
-            ))
-            rollup.requests += 1
-            rollup.contended_requests += 1 if contended else 0
             rollup.queue_ms += queue_ms
             rollup.latency_ms += latency_ms
-            rollup_by_label = rollup.by_label
+            final = final_get(start_ms)
+            if final is None:
+                # Uncontended: one service segment, whose duration
+                # latency_ms - 0.0 is latency_ms itself.
+                requests.append(RequestAttribution(
+                    name, index, start_ms, latency_ms, queue_ms, False, 0.0, 0.0,
+                    [Segment("service", "", 0.0, latency_ms)],
+                ))
+                by_label["service"] += latency_ms
+                continue
+            gate_wait, contended = final
+            segments = _tile_request(
+                latency_ms, gate_wait, spans_by_release.get(start_ms, [])
+            )
+            requests.append(RequestAttribution(
+                name, index, start_ms, latency_ms, queue_ms, contended, gate_wait,
+                wait_by_release.get(start_ms, 0.0), segments,
+            ))
+            rollup.contended_requests += 1 if contended else 0
             for seg in segments:
                 dur = seg.end_ms - seg.start_ms
-                rollup_by_label[seg.label] += dur
+                by_label[seg.label] += dur
                 if seg.lane:
                     lanes[seg.lane].critical_ms += dur
+        rollup.requests += len(entry.serve)
         rollups.append(rollup)
 
     ranked = sorted(lanes.values(), key=lambda l: (-l.critical_ms, l.lane))

@@ -32,8 +32,9 @@ identical verdicts in identical order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -143,8 +144,7 @@ class FaultTrace:
     def live_indices(self, t_ms: float) -> Tuple[int, ...]:
         """Sorted tuple of live device indices at time ``t_ms`` (events at
         ``t_ms`` already applied) — also the churn component of cache keys."""
-        times: Tuple[float, ...] = self._seg_times  # type: ignore[attr-defined]
-        idx = int(np.searchsorted(np.asarray(times), t_ms, side="right")) - 1
+        idx = bisect_right(self._seg_times, t_ms) - 1  # type: ignore[attr-defined]
         return self._seg_live[max(idx, 0)]  # type: ignore[attr-defined]
 
     def live_fraction(self, t_ms: float) -> float:
@@ -566,14 +566,6 @@ class DegradationPolicy:
 # ---------------------------------------------------------------------- #
 
 
-def plan_devices(plan: DistributionPlan) -> FrozenSet[int]:
-    """Roster indices a plan's execution touches (providers + dense head)."""
-    touched = {idx for a in plan.assignments for idx in a.active_devices}
-    if plan.model.head_layers:
-        touched.add(plan.head_device)
-    return frozenset(touched)
-
-
 def degrade_plan(plan: DistributionPlan, live: Sequence[int]) -> DistributionPlan:
     """Failover strategy for ``plan`` when only ``live`` devices survive.
 
@@ -587,7 +579,7 @@ def degrade_plan(plan: DistributionPlan, live: Sequence[int]) -> DistributionPla
     live_set = set(live)
     if not live_set:
         raise ValueError("cannot replan: no live devices remain")
-    if plan_devices(plan) <= live_set:
+    if plan.touched_devices <= live_set:
         return plan
     shares = [0.0] * plan.num_devices
     for a in plan.assignments:
@@ -626,13 +618,14 @@ class PlanDegrader:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ResolvedRequest:
+class ResolvedRequest(NamedTuple):
     """Outcome of walking one dispatch through the fault/retry chain.
 
     ``latency_ms`` spans first dispatch to final completion (it includes
     lost attempts and backoff); ``retry_added_ms`` is the delay between the
-    first dispatch and the start of the terminating attempt.
+    first dispatch and the start of the terminating attempt.  A tuple, not
+    a dataclass: every uncontended reference dispatch builds one, with or
+    without churn.
     """
 
     status: str  # "completed" | "abandoned"
@@ -663,27 +656,36 @@ def resolve_faulted_request(
     ``latency_of(plan, t_s)`` must be the loop's latency oracle — the only
     floats entering the decision — so reference, batched and array loops
     calling this function with bit-identical oracles resolve identically.
+    The first attempt is evaluated at ``start_s`` itself, the instant the
+    array engine's speculation windows evaluate at; retries at their own
+    release instants.
     """
+    if not trace.events:
+        # A fleet without churn: the full roster serves the plan itself and
+        # nothing can crash — the walk below would return exactly this, but
+        # every reference dispatch passes here, so skip its lookups.
+        return ResolvedRequest("completed", latency_of(plan, start_s), 0, 0.0, None, plan, 1)
     start_ms = start_s * 1000.0
     t_ms = start_ms
+    t_s = start_s
     attempt = 1
     lost = 0
     while True:
         eff = degrader.effective_plan(plan, trace.live_indices(t_ms))
-        lat = latency_of(eff, t_ms / 1000.0)
-        crash = trace.first_crash_touching(plan_devices(eff), t_ms, t_ms + lat)
+        lat = latency_of(eff, t_s)
+        crash = trace.first_crash_touching(eff.touched_devices, t_ms, t_ms + lat)
         if crash is None:
             # First-attempt completions return the oracle's float untouched —
             # a (t_ms + lat) - start_ms round trip would cost an ulp and
             # break bit-parity with loops that commit the raw latency.
             return ResolvedRequest(
-                status="completed",
-                latency_ms=lat if attempt == 1 else (t_ms + lat) - start_ms,
-                lost_attempts=lost,
-                retry_added_ms=t_ms - start_ms,
-                abandon_s=None,
-                plan=eff,
-                attempts=attempt,
+                "completed",
+                lat if attempt == 1 else (t_ms + lat) - start_ms,
+                lost,
+                t_ms - start_ms,
+                None,
+                eff,
+                attempt,
             )
         lost += 1
         fail_ms = crash.t_ms
@@ -691,15 +693,10 @@ def resolve_faulted_request(
         timed_out = retry.timeout_ms is not None and next_ms - start_ms > retry.timeout_ms
         if attempt >= retry.max_attempts or timed_out:
             return ResolvedRequest(
-                status="abandoned",
-                latency_ms=fail_ms - start_ms,
-                lost_attempts=lost,
-                retry_added_ms=t_ms - start_ms,
-                abandon_s=fail_ms / 1000.0,
-                plan=eff,
-                attempts=attempt,
+                "abandoned", fail_ms - start_ms, lost, t_ms - start_ms, fail_ms / 1000.0, eff, attempt
             )
         t_ms = next_ms
+        t_s = t_ms / 1000.0
         attempt += 1
 
 
@@ -712,10 +709,10 @@ def resolve_faulted_request(
 class FaultContext:
     """Everything one serving run needs to decide fault outcomes.
 
-    Built once per :meth:`ServingSimulator.run` call and shared by whichever
-    loop executes it (reference, batched or array) — the decisions are pure
-    functions of this context plus the loop's latency floats, which is the
-    churn parity contract.
+    Built once per :meth:`ServingSimulator.run` call (an immortal fleet gets
+    the empty trace) and shared by whichever loop executes it (reference,
+    array or contended) — the decisions are pure functions of this context
+    plus the loop's latency floats, which is the churn parity contract.
     """
 
     trace: FaultTrace
@@ -736,12 +733,14 @@ def build_fault_context(
     weights: Sequence[float],
     start_s: float,
     duration_s: Optional[float],
-) -> Optional[FaultContext]:
+) -> FaultContext:
     """Resolve the churn arguments of one serving run into a context.
 
-    ``None`` faults means an immortal fleet — then retry/degradation
-    policies are meaningless and rejected (mirroring how contention knobs
-    require ``--contention``).
+    ``None`` faults means an immortal fleet: the context holds the empty
+    trace, on which every fault decision is the identity, so each serving
+    loop runs the same code with or without churn.  Retry/degradation
+    policies are then meaningless and rejected (mirroring how contention
+    knobs require ``--contention``).
     """
     if faults is None:
         if retry is not None or degradation is not None:
@@ -749,7 +748,7 @@ def build_fault_context(
                 "RetryPolicy/DegradationPolicy model fleet churn; "
                 "pass faults (a churn: spec or FaultTrace) to enable them"
             )
-        return None
+        faults = FaultTrace(events=(), num_devices=num_devices)
     trace = resolve_churn(faults, num_devices)
     horizon_s = (
         start_s + duration_s
@@ -889,7 +888,6 @@ __all__ = [
     "resolve_churn",
     "RetryPolicy",
     "DegradationPolicy",
-    "plan_devices",
     "degrade_plan",
     "PlanDegrader",
     "ResolvedRequest",

@@ -11,7 +11,8 @@ split-correctness checks, which keeps every method comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.devices.specs import DeviceInstance
 from repro.nn.graph import LayerVolume, ModelSpec, cached_partition
@@ -175,6 +176,18 @@ class DistributionPlan:
 
     def assignment(self, volume_index: int) -> VolumeAssignment:
         return self._assignments[volume_index]
+
+    @cached_property
+    def touched_devices(self) -> FrozenSet[int]:
+        """Provider indices one execution touches (non-empty parts + dense head).
+
+        Computed on first use and kept: the serving loops ask on every
+        dispatch, while the planners building thousands of plans never do.
+        """
+        touched = {idx for a in self._assignments for idx in a.active_devices}
+        if self.model.head_layers:
+            touched.add(self.head_device)
+        return frozenset(touched)
 
     def same_strategy(self, other: "DistributionPlan") -> bool:
         """Whether ``other`` encodes the same strategy (content, not identity).

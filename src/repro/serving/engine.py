@@ -27,9 +27,10 @@ Three ideas make it exact *and* fast:
   array passes.
 * **Epoch speculation.**  The latency of a request depends only on the
   ``(plan, network-state signature)`` pair at its start.  Once one request
-  of a window is evaluated, the engine *speculates* that the signature holds
-  for the next ``window`` requests, commits them in one scan, then verifies
-  every speculated start against one vectorised signature matrix
+  of a window is evaluated (through a per-tenant memo, one plan at a time),
+  the engine *speculates* that the signature holds for the next ``window``
+  requests, commits them in one scan, then verifies every speculated start
+  against one vectorised signature matrix
   (:func:`~repro.runtime.batch.network_state_signatures`) and discards the
   mis-speculated tail — exactly like the OSDS round tails.  On a provably
   static network (:attr:`NetworkModel.is_static`) verification is skipped
@@ -43,18 +44,20 @@ Three ideas make it exact *and* fast:
 Tenants the columns cannot express exactly — adaptation hooks (the plan may
 change mid-stream) and open-loop queue-capacity admission (a per-event
 decision against the live queue depth) — fall back to their scalar
-:class:`TenantRuntime` chain *inside* the engine's epoch loop, sharing its
-signature groups and evaluation batches, so mixed workloads stay correct
-and only the tenants that need the slow path pay for it.
+:class:`TenantRuntime` chain *inside* the engine's epoch loop, one dispatch
+per epoch, so mixed workloads stay correct and only the tenants that need
+the slow path pay for it.
 
-Fleet churn (:mod:`repro.runtime.faults`) rides the same machinery: the
-fault-aware loop bounds every speculation window at the next membership
-event — a request commits speculatively only when its whole service span
-fits strictly inside the current liveness segment — and a head request
-crossing that barrier is rolled back and resolved through the shared scalar
-retry-chain walk (:func:`~repro.runtime.faults.resolve_faulted_request`),
-so mid-inference crashes, retries and abandonments land bit-identically to
-the reference loop's verdicts.
+Every run carries a fault trace (:mod:`repro.runtime.faults`); a fleet
+without churn is the empty trace, so there is one loop for both.  Every
+speculation window stops at the next membership event — a request commits
+speculatively only when its whole service span fits strictly inside the
+current liveness segment — and a head request crossing that barrier is
+rolled back and resolved through the shared scalar retry-chain walk
+(:func:`~repro.runtime.faults.resolve_faulted_request`), so mid-inference
+crashes, retries and abandonments land bit-identically to the reference
+loop's verdicts.  On the empty trace no window is ever cut short and every
+effective plan is the tenant's own plan object.
 
 Shared-fleet contention keeps its canonical sequential dispatch order by
 construction, so contended runs never reach this engine — the simulator's
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,13 +159,12 @@ class _VectorTenant:
         # Slot pool min-heap (equal entries form a valid heap without heapify).
         self.slots: List[float] = [self.start_s] * spec.slots
         self.window = MIN_SPECULATION
-        #: Per-tenant latency memo: network-state signature -> latency_ms
-        #: (the plan is fixed on this path, so the signature is the key).
-        #: Under churn the key widens to ``(id(effective_plan), signature)``
-        #: — failover plans are cached per live set by the PlanDegrader, so
-        #: the identity is stable.
+        #: Per-tenant latency memo keyed ``(id(effective_plan), signature)``
+        #: — failover plans are cached per live set by the PlanDegrader (and
+        #: without churn the effective plan is the tenant's own), so the
+        #: identity is stable.
         self.memo = LRUCache(256)
-        # Fault-resolution outcomes (churn runs only; empty otherwise).
+        # Fault-resolution outcomes (empty unless churn bit).
         self.abandoned_rows: List[int] = []
         self.abandoned_times: List[float] = []
         self.num_lost_attempts = 0
@@ -252,68 +254,28 @@ class _VectorTenant:
         signature: Tuple[float, ...],
         static: bool,
         network,
+        trace,
     ) -> int:
         """Commit one speculation window; returns how many requests landed.
 
         ``latency_ms`` is the evaluated latency of the *next* request (whose
         signature is ``signature`` by construction).  On a static network
-        the whole remaining timeline commits; otherwise the window's starts
-        are verified against the assumed signature with one vectorised
-        matrix comparison and the mis-speculated tail is rolled back and
-        discarded.
-        """
-        remaining = self.capacity - self.committed
-        i0 = self.committed
-        if static:
-            count = self._scan(remaining, latency_ms)
-            self.lats[i0:i0 + count] = latency_ms
-            return count
-        window = min(self.window, remaining)
-        snapshot = (self.committed, list(self.slots), self.truncated)
-        count = self._scan(window, latency_ms)
-        rows = network_state_signatures(network, self.starts[i0:i0 + count])
-        mismatch = (rows != np.asarray(signature)).any(axis=1)
-        ok = int(np.argmax(mismatch)) if bool(mismatch.any()) else count
-        if ok == 0:  # pragma: no cover - peek/scan compute the same start
-            raise RuntimeError(
-                f"tenant {self.spec.name!r}: speculation verifier rejected the "
-                "evaluated head request — signature sampling drifted"
-            )
-        if ok < count:
-            # Discard the mis-speculated tail: restore the slot pool and
-            # replay only the verified prefix (identical floats by purity).
-            self.committed, self.slots, self.truncated = snapshot
-            self._scan(ok, latency_ms)
-            self.window = max(MIN_SPECULATION, self.window // 2)
-            self.rollbacks += 1
-        else:
-            self.window = min(MAX_SPECULATION, self.window * 2)
-        count = self.committed - i0
-        self.lats[i0:i0 + count] = latency_ms
-        return count
-
-    # ------------------------------------------------------------------ #
-    def advance_faulted(
-        self,
-        latency_ms: float,
-        signature: Tuple[float, ...],
-        static: bool,
-        network,
-        trace,
-    ) -> int:
-        """:meth:`advance` on a churning fleet; returns how many landed.
-
-        The speculation window gains a second verifier: a request may only
-        commit speculatively when it *starts* strictly before the next
-        membership event and *completes* at or before it (a crash exactly at
-        the completion tick does not kill — the open-interval rule of
+        the whole remaining timeline is scanned; otherwise the window's
+        starts are verified against the assumed signature with one
+        vectorised matrix comparison.  A second verifier bounds the window
+        at the fault trace's next membership event: a request may only
+        commit speculatively when it *starts* strictly before that event and
+        *completes* at or before it (a crash exactly at the completion tick
+        does not kill — the open-interval rule of
         :meth:`FaultTrace.first_crash_touching`).  Inside such a window the
         live set, the effective plan and the crash verdict ("none") are
         constant, so the scalar retry-chain walk would resolve every request
         to exactly this latency — the window commit is the resolver, batched.
-        Returns 0 when the head request itself crosses the barrier; the
-        engine then resolves it through :func:`resolve_faulted_request` and
-        commits it via :meth:`commit_resolved_head`.
+        The mis-speculated tail is rolled back and discarded.  Returns 0
+        when the head request itself crosses the barrier (never on the empty
+        trace); the engine then resolves it through
+        :func:`resolve_faulted_request` and commits it via
+        :meth:`commit_resolved_head`.
         """
         remaining = self.capacity - self.committed
         i0 = self.committed
@@ -510,171 +472,36 @@ class ArrayServingEngine:
     def run(
         self,
         tenants: Sequence[TenantSpec],
-        duration_s: Optional[float] = None,
-        start_s: float = 0.0,
-        fault_ctx: Optional[FaultContext] = None,
-        tracer: Optional[Tracer] = None,
+        duration_s: Optional[float],
+        start_s: float,
+        fault_ctx: FaultContext,
+        tracer: Tracer = NULL_TRACER,
     ):
         """Run the array time-wheel; returns a ``ServingReport``.
 
-        ``fault_ctx`` (built by the simulator) switches on fleet churn: the
-        run moves to the fault-aware epoch loop, whose speculation windows
-        are additionally bounded by the fault trace's membership events.
-        """
-        from repro.serving.simulator import ServingReport  # circular at module load
-
-        tracer = NULL_TRACER if tracer is None else tracer
-        if fault_ctx is not None:
-            return self._run_faulted(tenants, duration_s, start_s, fault_ctx, tracer)
-
-        prof = self.profiler
-        run_start = perf_counter() if prof.enabled else 0.0
-        network = self.evaluator.network
-        static = network.is_static
-        static_sig = network_state_signature(network, start_s) if static else None
-
-        vectors: List[Optional[_VectorTenant]] = []
-        runtimes: List[Optional[TenantRuntime]] = []
-        for spec in tenants:
-            if vectorizable(spec):
-                vectors.append(_VectorTenant(spec, start_s, duration_s))
-                runtimes.append(None)
-            else:
-                vectors.append(None)
-                runtimes.append(TenantRuntime(spec, start_s, duration_s))
-
-        epochs = 0
-        cache_hits = 0
-        speculated = 0
-        while True:
-            # Phase 1: every active tenant declares its next evaluation need
-            # (fallback dispatches whose latency is already cached commit
-            # right here — still progress, hence the ``dispatched`` flag).
-            groups: Dict[Tuple[float, ...], List[Tuple]] = {}
-            ready: List[Tuple[_VectorTenant, Tuple[float, ...], float]] = []
-            dispatched = False
-            for vector, runtime in zip(vectors, runtimes):
-                if vector is not None:
-                    if vector.done:
-                        continue
-                    dispatched = True
-                    t_next = vector.peek_start()
-                    signature = (
-                        static_sig if static else network_state_signature(network, t_next)
-                    )
-                    latency = vector.memo.get(signature)
-                    if latency is None:
-                        groups.setdefault(signature, []).append((vector, t_next))
-                    else:
-                        cache_hits += 1
-                        ready.append((vector, signature, latency))
-                    continue
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is None:
-                    continue
-                dispatched = True
-                signature = (
-                    static_sig
-                    if static
-                    else network_state_signature(network, dispatch.start_s)
-                )
-                key = (id(dispatch.plan.model), dispatch.plan.signature, signature)
-                cached = runtime.cached_latency(key)
-                if cached is not None:
-                    cache_hits += 1
-                    runtime.commit(cached)
-                else:
-                    groups.setdefault(signature, []).append((runtime, dispatch, key))
-            if not dispatched:
-                break
-            epochs += 1
-            # Phase 2: one vectorised evaluation per distinct network state.
-            for signature, members in groups.items():
-                plans = []
-                for member in members:
-                    if isinstance(member[0], _VectorTenant):
-                        plans.append(member[0].spec.plan)
-                    else:
-                        plans.append(member[1].plan)
-                t_rep = members[0][1] if isinstance(members[0][0], _VectorTenant) else (
-                    members[0][1].start_s
-                )
-                results = self.evaluator.evaluate_plans(plans, t_seconds=t_rep)
-                for member, result in zip(members, results):
-                    latency = result.end_to_end_ms
-                    if isinstance(member[0], _VectorTenant):
-                        vector = member[0]
-                        vector.memo.put(signature, latency)
-                        ready.append((vector, signature, latency))
-                    else:
-                        runtime, dispatch, key = member
-                        runtime.cache_latency(key, dispatch.plan.model, latency)
-                        runtime.commit(latency)
-            # Phase 3: column tenants commit their speculation windows.
-            for vector, signature, latency in ready:
-                landed = vector.advance(latency, signature, static, network)
-                speculated += landed - 1
-
-        reports = [
-            vector.report() if vector is not None else runtime.report()
-            for vector, runtime in zip(vectors, runtimes)
-        ]
-        if prof.enabled:
-            prof.add("engine.run", perf_counter() - run_start)
-            prof.count("engine.epochs", epochs)
-            prof.count("engine.cache_hits", cache_hits)
-            prof.count("engine.speculated", speculated)
-            prof.count(
-                "engine.rollbacks",
-                sum(v.rollbacks for v in vectors if v is not None),
-            )
-        return ServingReport(
-            tenants=reports,
-            start_s=start_s,
-            duration_s=duration_s,
-            mode="batched",
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-            cache_hits=cache_hits,
-            engine="array",
-            speculated=speculated,
-        )
-
-    def _run_faulted(
-        self,
-        tenants: Sequence[TenantSpec],
-        duration_s: Optional[float],
-        start_s: float,
-        ctx: FaultContext,
-        tracer: Tracer = NULL_TRACER,
-    ):
-        """The epoch time-wheel on a churning fleet.
-
-        Three additions keep the column fast path under the churn parity
-        contract:
+        ``fault_ctx`` (built by the simulator) carries the run's fault trace
+        — the empty trace for a fleet without churn, on which every fault
+        decision below is the identity.  Three steps keep the column fast
+        path under the parity contract:
 
         * every epoch resolves each tenant's *effective* plan from the live
           set at its next start — the same :class:`PlanDegrader` decision
           (and the same cached plan object) the scalar loops use;
         * speculation windows stop at the next membership event
-          (:meth:`_VectorTenant.advance_faulted`), so no speculated commit
-          can ever interact with churn;
-        * a head request crossing the barrier is rolled back and resolved
+          (:meth:`_VectorTenant.advance`), so no speculated commit can ever
+          interact with churn;
+        * a head request crossing that barrier is rolled back and resolved
           through the shared scalar retry-chain walk
           (:func:`~repro.runtime.faults.resolve_faulted_request`), then
           committed row by row — including abandoned rows, which hold their
           slot until the crash.
 
-        Each column tenant takes its window latency and its retry-chain
-        latencies from one memoized oracle that evaluates a single plan at
-        a time.  Churn gives tenants distinct effective plans, and one
-        vectorised sweep over a few distinct plans costs several times
-        their separate evaluations, so this loop does not group tenants by
-        network state.  Non-vectorizable tenants run their scalar
-        :class:`TenantRuntime` chain through the very same resolver per
-        dispatch.
+        Each tenant takes its latencies from one memoized oracle that
+        evaluates a single plan at a time.  One vectorised sweep over a few
+        distinct plans costs several times their separate evaluations, so
+        the loop does not group tenants by network state.  Non-vectorizable
+        tenants run their scalar :class:`TenantRuntime` chain through the
+        very same resolver per dispatch.
         """
         from repro.serving.simulator import ServingReport  # circular at module load
 
@@ -683,12 +510,12 @@ class ArrayServingEngine:
         network = self.evaluator.network
         static = network.is_static
         static_sig = network_state_signature(network, start_s) if static else None
-        trace, retry, degrader = ctx.trace, ctx.retry, ctx.degrader
+        trace, retry, degrader = fault_ctx.trace, fault_ctx.retry, fault_ctx.degrader
 
         vectors: List[Optional[_VectorTenant]] = []
         runtimes: List[Optional[TenantRuntime]] = []
         for i, spec in enumerate(tenants):
-            shed = list(ctx.shed_intervals[i]) if ctx.shed_intervals[i] else None
+            shed = list(fault_ctx.shed_intervals[i])
             if vectorizable(spec):
                 vectors.append(
                     _VectorTenant(spec, start_s, duration_s, shed_intervals=shed)
@@ -727,7 +554,7 @@ class ArrayServingEngine:
         def runtime_oracle(runtime: TenantRuntime):
             def latency_of(plan, t_s: float) -> float:
                 nonlocal cache_hits
-                key = (id(plan.model), plan.signature, network_state_signature(network, t_s))
+                key = (id(plan.model), plan.signature, sig_at(t_s))
                 cached = runtime.cached_latency(key)
                 if cached is not None:
                     cache_hits += 1
@@ -738,6 +565,10 @@ class ArrayServingEngine:
 
             return latency_of
 
+        oracles = [
+            vector_oracle(vector) if vector is not None else runtime_oracle(runtime)
+            for vector, runtime in zip(vectors, runtimes)
+        ]
         while True:
             dispatched = False
             for index, (vector, runtime) in enumerate(zip(vectors, runtimes)):
@@ -749,8 +580,8 @@ class ArrayServingEngine:
                     eff = degrader.effective_plan(
                         vector.spec.plan, trace.live_indices(t_next * 1000.0)
                     )
-                    latency_of = vector_oracle(vector)
-                    landed = vector.advance_faulted(
+                    latency_of = oracles[index]
+                    landed = vector.advance(
                         latency_of(eff, t_next), sig_at(t_next), static, network, trace
                     )
                     if landed:
@@ -780,7 +611,7 @@ class ArrayServingEngine:
                 resolved = resolve_faulted_request(
                     dispatch.start_s,
                     dispatch.plan,
-                    runtime_oracle(runtime),
+                    oracles[index],
                     trace,
                     retry,
                     degrader,
@@ -798,7 +629,7 @@ class ArrayServingEngine:
             for vector, runtime in zip(vectors, runtimes)
         ]
         if prof.enabled:
-            prof.add("engine.run_faulted", perf_counter() - run_start)
+            prof.add("engine.run", perf_counter() - run_start)
             prof.count("engine.epochs", epochs)
             prof.count("engine.cache_hits", cache_hits)
             prof.count("engine.speculated", speculated)

@@ -10,16 +10,18 @@ streams against one shared cluster.  Without contention two loops produce
   against).
 * ``mode="batched"`` (default) — the array engine of
   :mod:`repro.serving.engine`: per-tenant NumPy request columns driven by an
-  epoch time-wheel that groups each epoch's evaluations by instantaneous
-  network-state signature (:func:`~repro.runtime.batch.network_state_signature`
-  — the only thing evaluation depends on besides the plan itself), evaluates
-  each group in one vectorised
-  :meth:`~repro.runtime.batch.BatchPlanEvaluator.evaluate_plans` call and
-  speculates each tenant's timeline ahead under the evaluated latency
-  (under churn it evaluates one plan at a time through per-tenant memos).
-  Equal signatures guarantee equal results, and the batch engine is
-  bit-exact with the scalar evaluator, so the batched loop matches the
-  reference loop bit for bit; :func:`run_with_parity` asserts exactly that.
+  epoch time-wheel that evaluates each tenant's next plan through a
+  per-tenant memo keyed on the instantaneous network-state signature
+  (:func:`~repro.runtime.batch.network_state_signature` — the only thing
+  evaluation depends on besides the plan itself) and speculates the
+  tenant's timeline ahead under the evaluated latency.  Equal signatures
+  guarantee equal results, and the batch engine is bit-exact with the
+  scalar evaluator, so the batched loop matches the reference loop bit for
+  bit; :func:`run_with_parity` asserts exactly that.
+
+Every loop runs on a fault trace (:mod:`repro.runtime.faults`): a fleet
+without churn is the empty trace, so each regime has one loop whether or
+not devices come and go.
 
 Tenant chains are independent (each tenant owns its service slots, see
 :mod:`repro.serving.tenants`), which is what lets an epoch advance all of
@@ -72,7 +74,6 @@ from repro.runtime.faults import (
     build_fault_report,
     emit_fault_timeline,
     emit_resolution,
-    plan_devices,
     resolve_faulted_request,
 )
 from repro.serving.dispatch import ClusterPolicy, FleetDispatcher
@@ -410,7 +411,9 @@ class ServingSimulator:
         ``degradation`` sheds lowest-weight tenants' arrivals while the live
         fleet fraction is below its threshold.  All decisions are pure
         functions shared by every loop, so churn lives under the same
-        bit-exact parity contract as everything else.
+        bit-exact parity contract as everything else.  Without ``faults``
+        the same loops run on the empty trace (bit-identical to it) and
+        :attr:`ServingReport.faults` stays ``None``.
 
         ``tracer`` collects the run's deterministic trace (see
         :mod:`repro.obs.trace`): the request lifecycle is derived from the
@@ -442,22 +445,11 @@ class ServingSimulator:
 
             array_engine = ArrayServingEngine(self.evaluator)
             array_engine.profiler = self.profiler
-            report = array_engine.run(
-                tenants,
-                duration_s=duration_s,
-                start_s=start_s,
-                fault_ctx=fault_ctx,
-                tracer=tracer,
-            )
+            report = array_engine.run(tenants, duration_s, start_s, fault_ctx, tracer)
         else:
             runtimes = [
                 TenantRuntime(
-                    spec,
-                    start_s,
-                    duration_s,
-                    shed_intervals=(
-                        list(fault_ctx.shed_intervals[i]) if fault_ctx is not None else None
-                    ),
+                    spec, start_s, duration_s, shed_intervals=list(fault_ctx.shed_intervals[i])
                 )
                 for i, spec in enumerate(tenants)
             ]
@@ -466,19 +458,14 @@ class ServingSimulator:
                     runtimes, duration_s, start_s, mode, policy,
                     schedule_memo, fault_ctx, tracer,
                 )
-            elif fault_ctx is not None:
-                report = self._run_reference_faulted(
-                    runtimes, duration_s, start_s, fault_ctx, tracer
-                )
             else:
-                report = self._run_reference(runtimes, duration_s, start_s)
-        if fault_ctx is not None:
+                report = self._run_reference(runtimes, duration_s, start_s, fault_ctx, tracer)
+        if faults is not None:
             report.faults = build_fault_report(fault_ctx, report.tenants)
         if tracer.enabled:
             # O(1): lifecycle events derive lazily on first trace read.
             tracer.defer_report(report)
-            if fault_ctx is not None:
-                emit_fault_timeline(tracer, fault_ctx.trace)
+            emit_fault_timeline(tracer, fault_ctx.trace)
         if metrics is not None:
             record_serving_report(metrics, report)
         return report
@@ -488,57 +475,27 @@ class ServingSimulator:
         runtimes: List[TenantRuntime],
         duration_s: Optional[float],
         start_s: float,
-    ) -> ServingReport:
-        """The contention-free reference loop: one scalar evaluation per
-        request, each on an idle fleet."""
-        epochs = 0
-        while True:
-            dispatches: List[Tuple[TenantRuntime, object]] = []
-            for runtime in runtimes:
-                if runtime.done:
-                    continue
-                dispatch = runtime.prepare()
-                if dispatch is not None:
-                    dispatches.append((runtime, dispatch))
-            if not dispatches:
-                break
-            epochs += 1
-            for runtime, dispatch in dispatches:
-                result = self.evaluator.evaluate(dispatch.plan, t_seconds=dispatch.start_s)
-                runtime.commit(result.end_to_end_ms)
-        if self.profiler.enabled:
-            self.profiler.count("serving.epochs", epochs)
-        return ServingReport(
-            tenants=[runtime.report() for runtime in runtimes],
-            start_s=start_s,
-            duration_s=duration_s,
-            mode="reference",
-            epochs=epochs,
-            evaluator_kind=type(self.evaluator).__name__,
-        )
-
-    def _run_reference_faulted(
-        self,
-        runtimes: List[TenantRuntime],
-        duration_s: Optional[float],
-        start_s: float,
         fault_ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ) -> ServingReport:
-        """The contention-free reference loop on a churning fleet.
+        """The contention-free reference loop: one scalar evaluation per
+        attempt, each on an idle fleet.
 
         Each dispatch is resolved through the shared pure retry-chain walk
         (:func:`~repro.runtime.faults.resolve_faulted_request`) and committed
-        once with its final outcome.  The walk's latency oracle is the
-        scalar evaluator; the array engine feeds the same walk bit-exact
-        batch floats, so both loops resolve every request identically.
-        Retry attempts are evaluated under the network state at their own
-        release instant.
+        once with its final outcome — on the empty trace of a fleet without
+        churn that is its first attempt's latency, untouched.  The walk's
+        latency oracle is the scalar evaluator; the array engine feeds the
+        same walk bit-exact batch floats, so both loops resolve every
+        request identically.  Retry attempts are evaluated under the network
+        state at their own release instant.
         """
         epochs = 0
+        evaluate = self.evaluator.evaluate
+        trace, retry, degrader = fault_ctx.trace, fault_ctx.retry, fault_ctx.degrader
 
         def latency_of(plan, t_s: float) -> float:
-            return self.evaluator.evaluate(plan, t_seconds=t_s).end_to_end_ms
+            return evaluate(plan, t_seconds=t_s).end_to_end_ms
 
         while True:
             dispatches: List[Tuple[int, TenantRuntime, object]] = []
@@ -556,13 +513,14 @@ class ServingSimulator:
                     dispatch.start_s,
                     dispatch.plan,
                     latency_of,
-                    fault_ctx.trace,
-                    fault_ctx.retry,
-                    fault_ctx.degrader,
+                    trace,
+                    retry,
+                    degrader,
                     tenant_index,
                     runtime.pending_ordinal,
                 )
-                emit_resolution(tracer, runtime.spec.name, dispatch.start_s, resolved)
+                if tracer.enabled:
+                    emit_resolution(tracer, runtime.spec.name, dispatch.start_s, resolved)
                 runtime.commit_resolved(resolved)
         if self.profiler.enabled:
             self.profiler.count("serving.epochs", epochs)
@@ -582,8 +540,8 @@ class ServingSimulator:
         start_s: float,
         mode: str,
         policy: ClusterPolicy,
-        schedule_memo: Optional[LRUCache] = None,
-        fault_ctx: Optional[FaultContext] = None,
+        schedule_memo: Optional[LRUCache],
+        fault_ctx: FaultContext,
         tracer: Tracer = NULL_TRACER,
     ) -> ServingReport:
         """The shared-fleet loops: requests queue on each other's lanes.
@@ -608,8 +566,9 @@ class ServingSimulator:
         floats (a memo hit replays the fresh walk's floats), preserving
         bit-parity.
 
-        Fleet churn (``fault_ctx``) adds a replan → predict → crash-check
-        step: every selection replans around the instant's dead devices
+        Fleet churn (``fault_ctx``; the empty trace without churn) adds a
+        replan → predict → crash-check step: every selection replans around
+        the instant's dead devices
         (:meth:`~repro.runtime.faults.PlanDegrader.effective_plan`), and a
         predicted schedule crossing a crash of a touched device is committed
         *truncated at the crash* (the partial lane occupancy and the gate
@@ -651,13 +610,11 @@ class ServingSimulator:
             )
             dispatch = pending.pop(index)
             release_ms = dispatch.start_s * 1000.0
-            plan = dispatch.plan
-            if fault_ctx is not None:
-                # Replan around devices dead at this release (graceful leaves
-                # and crashes alike); restored automatically once they rejoin.
-                plan = fault_ctx.degrader.effective_plan(
-                    plan, fault_ctx.trace.live_indices(release_ms)
-                )
+            # Replan around devices dead at this release (graceful leaves and
+            # crashes alike); restored automatically once they rejoin.
+            plan = fault_ctx.degrader.effective_plan(
+                dispatch.plan, fault_ctx.trace.live_indices(release_ms)
+            )
             outcome = engine.predict(
                 plan, release_ms=release_ms, t_seconds=dispatch.start_s
             )
@@ -694,53 +651,52 @@ class ServingSimulator:
                         if dispatch is not None:
                             pending[index] = dispatch
                     continue
-            if fault_ctx is not None:
-                crash = fault_ctx.trace.first_crash_touching(
-                    plan_devices(plan), release_ms, release_ms + outcome.latency_ms
+            crash = fault_ctx.trace.first_crash_touching(
+                plan.touched_devices, release_ms, release_ms + outcome.latency_ms
+            )
+            if crash is not None:
+                # Failed at detection: the request held lanes and the
+                # admission gate until the crash — commit the truncated
+                # schedule, then retry through the normal pending queue
+                # (re-predicted and re-admitted at its new release) or
+                # abandon once the budget is spent.
+                runtime = runtimes[index]
+                cut = truncated_outcome(outcome, crash.t_ms - release_ms)
+                engine.commit(cut, release_ms)
+                dispatcher.account(index, cut.latency_ms)
+                if tracer.enabled:
+                    _emit_contended_commit(
+                        tracer, lane_keys, device_ids, runtime.spec.name,
+                        release_ms, cut, truncated=True,
+                    )
+                attempt = runtime.pending_attempt
+                delay_ms = fault_ctx.retry.delay_ms(
+                    attempt, index, runtime.pending_ordinal
                 )
-                if crash is not None:
-                    # Failed at detection: the request held lanes and the
-                    # admission gate until the crash — commit the truncated
-                    # schedule, then retry through the normal pending queue
-                    # (re-predicted and re-admitted at its new release) or
-                    # abandon once the budget is spent.
-                    runtime = runtimes[index]
-                    cut = truncated_outcome(outcome, crash.t_ms - release_ms)
-                    engine.commit(cut, release_ms)
-                    dispatcher.account(index, cut.latency_ms)
+                new_start_ms = crash.t_ms + delay_ms
+                timed_out = (
+                    fault_ctx.retry.timeout_ms is not None
+                    and new_start_ms - runtime.pending_first_start_s * 1000.0
+                    > fault_ctx.retry.timeout_ms
+                )
+                if attempt >= fault_ctx.retry.max_attempts or timed_out:
+                    runtime.abandon_pending(crash.t_ms / 1000.0, lost=1)
+                    if not runtime.done:
+                        dispatch = runtime.prepare()
+                        if dispatch is not None:
+                            pending[index] = dispatch
+                else:
+                    pending[index] = runtime.retry_pending(new_start_ms / 1000.0)
                     if tracer.enabled:
-                        _emit_contended_commit(
-                            tracer, lane_keys, device_ids, runtime.spec.name,
-                            release_ms, cut, truncated=True,
+                        tracer.instant(
+                            crash.t_ms,
+                            f"tenant:{runtime.spec.name}",
+                            "fault",
+                            "retry",
+                            attempt=attempt,
+                            delay_ms=delay_ms,
                         )
-                    attempt = runtime.pending_attempt
-                    delay_ms = fault_ctx.retry.delay_ms(
-                        attempt, index, runtime.pending_ordinal
-                    )
-                    new_start_ms = crash.t_ms + delay_ms
-                    timed_out = (
-                        fault_ctx.retry.timeout_ms is not None
-                        and new_start_ms - runtime.pending_first_start_s * 1000.0
-                        > fault_ctx.retry.timeout_ms
-                    )
-                    if attempt >= fault_ctx.retry.max_attempts or timed_out:
-                        runtime.abandon_pending(crash.t_ms / 1000.0, lost=1)
-                        if not runtime.done:
-                            dispatch = runtime.prepare()
-                            if dispatch is not None:
-                                pending[index] = dispatch
-                    else:
-                        pending[index] = runtime.retry_pending(new_start_ms / 1000.0)
-                        if tracer.enabled:
-                            tracer.instant(
-                                crash.t_ms,
-                                f"tenant:{runtime.spec.name}",
-                                "fault",
-                                "retry",
-                                attempt=attempt,
-                                delay_ms=delay_ms,
-                            )
-                    continue
+                continue
             engine.commit(outcome, release_ms)
             if tracer.enabled:
                 _emit_contended_commit(

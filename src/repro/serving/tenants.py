@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -195,9 +195,11 @@ class TenantSpec:
         return self.adaptation_hook
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """One prepared request: where the chain pauses for plan evaluation."""
+class Dispatch(NamedTuple):
+    """One prepared request: where the chain pauses for plan evaluation.
+
+    A tuple, not a dataclass: every loop builds one per dispatch.
+    """
 
     arrival_s: float
     start_s: float
@@ -478,7 +480,7 @@ class TenantRuntime:
             if replacement is not None and not self.current_plan.same_strategy(replacement):
                 self.current_plan = replacement
                 self.replan_times.append(start)
-        self._pending = Dispatch(arrival_s=arrival, start_s=start, plan=self.current_plan)
+        self._pending = Dispatch(arrival, start, self.current_plan)
         self._pending_ordinal = self._prepared
         self._prepared += 1
         self._pending_attempt = 1
@@ -573,9 +575,7 @@ class TenantRuntime:
             )
         if not self.spec.closed_loop:
             self._admit_until(new_start_s)
-        self._pending = Dispatch(
-            arrival_s=dispatch.arrival_s, start_s=new_start_s, plan=dispatch.plan
-        )
+        self._pending = Dispatch(dispatch.arrival_s, new_start_s, dispatch.plan)
         return self._pending
 
     # ------------------------------------------------------------------ #
@@ -619,9 +619,7 @@ class TenantRuntime:
         self._pending_attempt += 1
         if not self.spec.closed_loop:
             self._admit_until(new_start_s)
-        self._pending = Dispatch(
-            arrival_s=dispatch.arrival_s, start_s=new_start_s, plan=dispatch.plan
-        )
+        self._pending = Dispatch(dispatch.arrival_s, new_start_s, dispatch.plan)
         return self._pending
 
     def abandon_pending(self, abandon_s: float, lost: int = 0) -> None:
@@ -666,7 +664,7 @@ class TenantRuntime:
         if resolved.status == "abandoned":
             self.abandon_pending(resolved.abandon_s)
             return
-        if resolved.retried:
+        if resolved.attempts > 1:
             self.num_retried += 1
             self.retry_added_ms += resolved.retry_added_ms
         self.commit(resolved.latency_ms)

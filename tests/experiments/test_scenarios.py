@@ -171,6 +171,8 @@ class TestGeneratorSpecGrammar:
             parse_generator_spec("gen:bw=50-fast")
         with pytest.raises(ValueError, match="must start with"):
             parse_generator_spec("n=4")
+        with pytest.raises(ValueError, match=r"trace='foo'; expected constant\|wifi\|dynamic"):
+            parse_generator_spec("gen:n=4,trace=foo")
 
     def test_resolve_scenario_both_forms(self):
         assert resolve_scenario("DB").name == "DB"

@@ -22,7 +22,6 @@ from repro.runtime.faults import (
     RetryPolicy,
     degrade_plan,
     parse_churn_spec,
-    plan_devices,
     resolve_churn,
     resolve_faulted_request,
 )
@@ -216,7 +215,7 @@ class TestReplanAndResolve:
         model, devices = world
         plan = DistributionPlan.single_device(model, devices, 0)
         failover = degrade_plan(plan, (1, 2))
-        assert plan_devices(failover) == frozenset({1})
+        assert failover.touched_devices == frozenset({1})
         assert failover.method.endswith("+failover")
         with pytest.raises(ValueError, match="no live devices"):
             degrade_plan(plan, ())
@@ -258,7 +257,7 @@ class TestReplanAndResolve:
         # Attempt 2 starts at crash (5ms) + backoff (10ms) on a failover plan.
         assert resolved.retry_added_ms == 15.0
         assert resolved.latency_ms == 35.0
-        assert plan_devices(resolved.plan) <= {1, 2}
+        assert resolved.plan.touched_devices <= {1, 2}
 
     def test_resolver_abandons_at_max_attempts(self, world):
         model, devices = world

@@ -17,6 +17,7 @@ import pytest
 from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
+from repro.obs import Tracer
 from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.faults import (
@@ -32,6 +33,8 @@ from repro.serving import (
     PoissonArrivals,
     ServingSimulator,
     TenantSpec,
+    assert_reports_equal,
+    assert_traces_equal,
     run_with_parity,
 )
 
@@ -269,6 +272,47 @@ class TestCrashBoundaries:
 
 
 class TestNoChurnByteIdentity:
+    @pytest.mark.parametrize("kind", ["constant", "dynamic"])
+    @pytest.mark.parametrize("loop", ["reference", "array", "contended"])
+    def test_empty_trace_equals_no_faults(self, model, loop, kind):
+        """A fleet without churn is the empty fault trace: every loop run on
+        ``FaultTrace(events=())`` reproduces its ``faults=None`` run bit for
+        bit — report, counters and trace — apart from ``report.faults``."""
+        devices = make_cluster([("nano", 70), ("nano", 70), ("tx2", 70), ("nano", 70)])
+        network = NetworkModel.from_devices(devices, kind=kind, seed=3)
+        tenants = churn_tenants(model, devices) + [
+            TenantSpec(
+                "capped",
+                DistributionPlan.single_device(model, devices, 3),
+                traffic=PoissonArrivals(150.0, seed=5),
+                queue_capacity=2,
+            )
+        ]
+        mode = "reference" if loop == "reference" else "batched"
+        policy = ClusterPolicy(discipline="fifo") if loop == "contended" else None
+        evaluator = PlanEvaluator if loop == "reference" else BatchPlanEvaluator
+        runs = []
+        for faults in (None, FaultTrace(events=(), num_devices=len(devices))):
+            tracer = Tracer()
+            report = ServingSimulator(evaluator(devices, network)).run(
+                tenants,
+                duration_s=2.0,
+                mode=mode,
+                policy=policy,
+                faults=faults,
+                tracer=tracer,
+            )
+            runs.append((report, tracer))
+        (plain, plain_trace), (empty, empty_trace) = runs
+        assert plain.faults is None
+        assert empty.faults is not None and empty.faults.lost_attempts == 0
+        empty_dict = empty.to_dict()
+        del empty_dict["faults"]
+        assert empty_dict == plain.to_dict()
+        empty.faults = None
+        assert_reports_equal(empty, plain)
+        assert_traces_equal(empty_trace, plain_trace)
+
     def test_idle_trace_changes_nothing(self, model, fleet):
         """A trace whose events all land beyond the horizon must reproduce
         the no-churn run float-for-float (the parity contract's base case)."""

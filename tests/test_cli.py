@@ -272,6 +272,7 @@ class TestServe:
                "--tenant", "offload", "--duration", "2"]
     PLAN = ["plan", "--scenario", "DB", "--model", "small_vgg"]
     COMPARE = ["compare", "--model", "small_vgg", "--episodes", "2"]
+    MISSING_DIR_JSON = "no-such-directory/out.json"
 
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -289,12 +290,18 @@ class TestServe:
             pytest.param(PLAN, "--random-splits", "0", id="plan---random-splits-0"),
             pytest.param(COMPARE, "--random-splits", "-1", id="compare---random-splits--1"),
             pytest.param(COMPARE, "--episodes", "0", id="compare---episodes-0"),
+            pytest.param(PLAN, "--output", MISSING_DIR_JSON, id="plan---output-missing-dir"),
+            pytest.param(SERVE, "--report-json", MISSING_DIR_JSON, id="serve---report-json-missing-dir"),
+            pytest.param(SERVE, "--trace-json", MISSING_DIR_JSON, id="serve---trace-json-missing-dir"),
+            pytest.param(SERVE, "--metrics-json", MISSING_DIR_JSON, id="serve---metrics-json-missing-dir"),
+            pytest.param(SERVE, "--alerts-json", MISSING_DIR_JSON, id="serve---alerts-json-missing-dir"),
+            pytest.param(ANALYZE, "--report-json", MISSING_DIR_JSON, id="analyze---report-json-missing-dir"),
         ],
     )
     def test_serve_rejects_nonpositive_slots_and_deadlines(self, capsys, argv, flag, value):
-        """Count and duration flags of serve, analyze, plan and compare fail at
-        the argparse boundary, naming the flag (not only serve's slots and
-        deadlines)."""
+        """Count and duration flags of serve, analyze, plan and compare, and
+        output files in a missing directory, fail at the argparse boundary,
+        naming the flag (not only serve's slots and deadlines)."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
