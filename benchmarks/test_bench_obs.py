@@ -20,9 +20,17 @@ gates both on the array engine's own gated workload (the 100-tenant,
 Both halves re-assert bit-identical reports (tracing must never touch a
 committed float).  When the committed engine baseline is missing or its
 gate did not enforce, the absolute comparison is meaningless on this
-machine and the gate records a skip instead.  Numbers land in
-``BENCH_obs.json`` via the shared :mod:`_gate` bookkeeping; the
-``speedup_*`` ratios feed the trend check.
+machine and the gate records a skip instead.
+
+* **Export is streamed.**  On one traced run's tracer, the streamed
+  compact ``Tracer.write_chrome`` and the dict-then-``json.dumps(indent=2)``
+  export it replaced are timed in the same process; the two files must be
+  ``json.loads``-equal and the streamed writer at least
+  ``MIN_EXPORT_SPEEDUP`` (2x) faster.  This half needs no committed
+  baseline, so it is enforced even when the off gate skips.
+
+Numbers land in ``BENCH_obs.json`` via the shared :mod:`_gate`
+bookkeeping; the ``speedup_*`` ratios feed the trend check.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ DEADLINE_MS = 500.0
 ROUNDS = 3
 MAX_OFF_LOSS = 0.05
 MAX_ON_OVERHEAD = 0.25
+MIN_EXPORT_SPEEDUP = 2.0
+EXPORT_ROUNDS = 5
 MODEL_NAME = "vgg16"
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
 ENGINE_BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
@@ -91,7 +101,46 @@ def _committed_engine_rps():
     return float(value) if isinstance(value, (int, float)) else None
 
 
-def test_bench_observability_overhead(benchmark):
+def _export_leg(tracer, out_dir):
+    """Time the streamed export against the in-memory indented one."""
+    tracer.sorted_events()  # derive and sort once, outside both timings
+    streamed_path, dict_path = out_dir / "streamed.json", out_dir / "dict.json"
+
+    def write_stream():
+        tracer.write_chrome(str(streamed_path))
+
+    def write_dict():
+        dict_path.write_text(json.dumps(tracer.to_chrome(), indent=2) + "\n")
+
+    # Interleaved rounds, so a noisy stretch of a shared host hits both.
+    t_stream = t_dict = float("inf")
+    for _ in range(EXPORT_ROUNDS):
+        t_stream = min(t_stream, _best_of(write_stream, rounds=1)[0])
+        t_dict = min(t_dict, _best_of(write_dict, rounds=1)[0])
+    assert json.loads(streamed_path.read_text()) == json.loads(dict_path.read_text())
+    return {
+        "export_events": len(tracer.events),
+        "export_stream_s": t_stream,
+        "export_dict_s": t_dict,
+        "export_stream_mb": streamed_path.stat().st_size / 1e6,
+        "export_dict_mb": dict_path.stat().st_size / 1e6,
+        "speedup_export_stream_vs_dict": t_dict / t_stream,
+        "export_rounds": EXPORT_ROUNDS,
+        "min_export_speedup_gate": MIN_EXPORT_SPEEDUP,
+    }
+
+
+def _assert_export_gate(export):
+    assert export["speedup_export_stream_vs_dict"] >= MIN_EXPORT_SPEEDUP, (
+        f"streamed trace export only {export['speedup_export_stream_vs_dict']:.2f}x "
+        f"faster than the in-memory indented export (gate {MIN_EXPORT_SPEEDUP}x; "
+        f"stream {export['export_stream_s'] * 1000:.0f} ms, "
+        f"dict {export['export_dict_s'] * 1000:.0f} ms, "
+        f"{export['export_events']} events)"
+    )
+
+
+def test_bench_observability_overhead(benchmark, tmp_path):
     scenario = generate_scenario(NUM_DEVICES, seed=17)
     devices, network = scenario.build(seed=17)
     model = model_zoo.get(MODEL_NAME)
@@ -115,6 +164,11 @@ def test_bench_observability_overhead(benchmark):
 
     t_off, off_report = _best_of(run_off)
     t_on, on_report = _best_of(run_on)
+    traced = Tracer()
+    ServingSimulator(BatchPlanEvaluator(devices, network)).run(
+        tenants, duration_s=DURATION_S, mode="batched", tracer=traced
+    )
+    export = _export_leg(traced, tmp_path)
 
     assert_reports_equal(on_report, off_report)
     completed = off_report.total_completed
@@ -138,6 +192,7 @@ def test_bench_observability_overhead(benchmark):
         "bit_identical": True,  # assert_reports_equal above would have raised
         "max_off_loss_gate": MAX_OFF_LOSS,
         "max_on_overhead_gate": MAX_ON_OVERHEAD,
+        **export,
     }
 
     benchmark.pedantic(run_off, rounds=1, iterations=1, warmup_rounds=0)
@@ -153,6 +208,7 @@ def test_bench_observability_overhead(benchmark):
             },
         )
         print(f"\nBENCH_obs (gate skipped): {json.dumps(recorded, indent=2)}")
+        _assert_export_gate(export)
         return
 
     rows["speedup_off_vs_committed_engine"] = off_rps / committed_rps
@@ -160,6 +216,7 @@ def test_bench_observability_overhead(benchmark):
     recorded = record_gate_result(BENCH_PATH, rows)
     print(f"\nBENCH_obs: {json.dumps(recorded, indent=2)}")
 
+    _assert_export_gate(export)
     assert off_rps >= committed_rps * (1.0 - MAX_OFF_LOSS), (
         f"observability hooks slowed the tracing-OFF path: {off_rps:.0f} req/s "
         f"vs committed {committed_rps:.0f} req/s "

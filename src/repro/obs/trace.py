@@ -22,19 +22,23 @@ the design center:
 
 :meth:`Tracer.to_chrome` exports the Chrome trace-event JSON format
 (load it at https://ui.perfetto.dev): one thread track per tenant, one per
-device lane, plus fleet/control tracks.  ``docs/observability.md`` has the
+device lane, plus fleet/control tracks.  :meth:`Tracer.write_chrome` streams
+the same records to a file as compact JSON.  ``docs/observability.md`` has the
 span taxonomy and a worked Perfetto session.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Track-name prefixes -> Chrome process ids (one pid per track family, so
 #: Perfetto groups tenant tracks, lane tracks and control tracks separately).
 _TRACK_PIDS = (("tenant:", 1, "tenants"), ("lane:", 2, "device lanes"))
 _CONTROL_PID = (3, "fleet & control plane")
+#: Records per C-encoder call in :meth:`Tracer.write_chrome`.
+_EXPORT_CHUNK = 2048
 
 
 class TraceEvent(NamedTuple):
@@ -90,6 +94,7 @@ class Tracer:
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._pending_reports: List[object] = []
+        self._sorted: Optional[List[TraceEvent]] = None
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -148,8 +153,15 @@ class Tracer:
 
         ``TraceEvent`` field order matches the canonical key
         ``(ts, track, kind, name, dur, args)``, so plain tuple sort is it.
+        The sort runs once per event set: it is cached until the event count
+        changes (:func:`trace_serving_report` appends to :attr:`events`
+        directly, so emission alone cannot invalidate it), and every call
+        returns a fresh list so callers cannot corrupt the cache.
         """
-        return sorted(self.events)
+        events = self.events  # derives pending reports first
+        if self._sorted is None or len(self._sorted) != len(events):
+            self._sorted = sorted(events)
+        return list(self._sorted)
 
     def lines(self) -> List[str]:
         """Canonical byte serialisation, one line per event.
@@ -163,11 +175,12 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Chrome trace-event export
     # ------------------------------------------------------------------ #
-    def _track_layout(self) -> Dict[str, Tuple[int, int]]:
+    @staticmethod
+    def _track_layout(events: List[TraceEvent]) -> Dict[str, Tuple[int, int]]:
         """Stable ``track -> (pid, tid)`` assignment (sorted track names)."""
         layout: Dict[str, Tuple[int, int]] = {}
         counters: Dict[int, int] = {}
-        for track in sorted({event.track for event in self.events}):
+        for track in sorted({event.track for event in events}):
             pid = _CONTROL_PID[0]
             for prefix, family_pid, _ in _TRACK_PIDS:
                 if track.startswith(prefix):
@@ -178,72 +191,86 @@ class Tracer:
             layout[track] = (pid, tid)
         return layout
 
+    def _chrome_records(self) -> Iterator[Dict]:
+        """The ``traceEvents`` records in export order, one at a time — the
+        one record layout :meth:`to_chrome` and :meth:`write_chrome` read."""
+        events = self.sorted_events()
+        layout = self._track_layout(events)
+        named_pids = {pid: name for _, pid, name in _TRACK_PIDS}
+        named_pids[_CONTROL_PID[0]] = _CONTROL_PID[1]
+        for pid in sorted({pid for pid, _ in layout.values()}):
+            yield {
+                "ph": "M",
+                "name": "process_name",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": named_pids[pid]},
+            }
+        for track, (pid, tid) in layout.items():
+            yield {
+                "ph": "M",
+                "name": "thread_name",
+                "pid": pid,
+                "tid": tid,
+                "args": {"name": track},
+            }
+        for ts_ms, track, kind, name, dur_ms, args in events:
+            pid, tid = layout[track]
+            if dur_ms > 0.0:
+                yield {
+                    "name": name, "cat": kind, "ts": ts_ms * 1000.0, "pid": pid,
+                    "tid": tid, "args": dict(args), "ph": "X", "dur": dur_ms * 1000.0,
+                }
+            else:
+                yield {
+                    "name": name, "cat": kind, "ts": ts_ms * 1000.0, "pid": pid,
+                    "tid": tid, "args": dict(args), "ph": "i", "s": "t",
+                }
+
     def to_chrome(self, provenance: Dict = None) -> Dict:
         """The trace as a Chrome trace-event JSON object (Perfetto-loadable).
 
-        Spans become complete (``ph="X"``) events, instants thread-scoped
-        instant (``ph="i"``) events; timestamps are microseconds as the
-        format requires.  Metadata events name one process per track family
-        (tenants / device lanes / control) and one thread per track.
-        ``provenance`` (the same ``{repro_version, argv, scenario}`` block
-        the CLI stamps on ``--report-json``) lands as a top-level key —
-        Perfetto ignores keys it does not know, and
-        :func:`events_from_chrome` skips it on re-import.
+        Metadata records name one process per track family (tenants /
+        device lanes / control) and one thread per track; then every event
+        in canonical order — spans as complete (``ph="X"``) events, instants
+        as thread-scoped instant (``ph="i"``) events, timestamps in
+        microseconds as the format requires.  ``provenance`` (the same
+        ``{repro_version, argv, scenario}`` block the CLI stamps on
+        ``--report-json``) lands as a top-level key — Perfetto ignores keys
+        it does not know, and :func:`events_from_chrome` skips it on
+        re-import.
         """
-        layout = self._track_layout()
-        trace_events: List[Dict] = []
-        named_pids = {pid: name for _, pid, name in _TRACK_PIDS}
-        named_pids[_CONTROL_PID[0]] = _CONTROL_PID[1]
-        used_pids = sorted({pid for pid, _ in layout.values()})
-        for pid in used_pids:
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": named_pids[pid]},
-                }
-            )
-        for track, (pid, tid) in layout.items():
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": track},
-                }
-            )
-        for event in self.sorted_events():
-            pid, tid = layout[event.track]
-            record: Dict = {
-                "name": event.name,
-                "cat": event.kind,
-                "ts": event.ts_ms * 1000.0,
-                "pid": pid,
-                "tid": tid,
-                "args": {key: value for key, value in event.args},
-            }
-            if event.dur_ms > 0.0:
-                record["ph"] = "X"
-                record["dur"] = event.dur_ms * 1000.0
-            else:
-                record["ph"] = "i"
-                record["s"] = "t"
-            trace_events.append(record)
-        chrome: Dict = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-        if provenance is not None:
-            chrome["provenance"] = provenance
-        return chrome
+        return {"traceEvents": list(self._chrome_records()), **_chrome_tail(provenance)}
 
     def write_chrome(self, path: str, provenance: Dict = None) -> None:
-        """Write :meth:`to_chrome` as JSON to ``path``."""
-        from pathlib import Path
+        """Write :meth:`to_chrome` to ``path`` as compact JSON, streamed.
 
-        Path(path).write_text(
-            json.dumps(self.to_chrome(provenance=provenance), indent=2) + "\n"
-        )
+        Records go through the C JSON encoder a chunk at a time, so neither
+        the whole object nor the whole string is ever held in memory.  The
+        file is ``json.loads``-equal to ``json.dumps(self.to_chrome(...))``;
+        ``python -m json.tool`` pretty-prints it.
+        """
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        tail = encode(_chrome_tail(provenance))[1:]  # fails before any write
+        records = self._chrome_records()
+        with open(path, "w") as out:
+            out.write('{"traceEvents":[')
+            separator = ""
+            while True:
+                chunk = list(islice(records, _EXPORT_CHUNK))
+                if not chunk:
+                    break
+                out.write(separator + encode(chunk)[1:-1])
+                separator = ","
+            out.write("]," + tail + "\n")
+
+
+def _chrome_tail(provenance: Dict = None) -> Dict:
+    """The top-level keys that follow ``traceEvents`` in a Chrome export."""
+    tail: Dict = {"displayTimeUnit": "ms"}
+    if provenance is not None:
+        tail["provenance"] = provenance
+    return tail
 
 
 class NullTracer(Tracer):

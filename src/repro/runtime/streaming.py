@@ -18,7 +18,10 @@ closed-loop special case** of :class:`~repro.serving.simulator.ServingSimulator`
 ``run`` builds one closed-loop :class:`~repro.serving.tenants.TenantSpec`
 (think time = ``extra_gap_ms``, request budget = ``num_images``) and executes
 it through the shared tenant runtime, so streaming and multi-tenant serving
-cannot drift apart behaviourally.
+cannot drift apart behaviourally.  A
+:class:`~repro.runtime.batch.BatchPlanEvaluator` streams through the array
+engine; a scalar :class:`~repro.runtime.evaluator.PlanEvaluator` through the
+per-image reference loop.
 
 Replan accounting compares plan *content*, not object identity: a hook that
 returns an equal-but-reconstructed plan (same boundaries, cuts and head —
@@ -117,12 +120,12 @@ class StreamingSimulator:
             max_duration_s=max_duration_s,
             adaptation_hook=adaptation_hook,
         )
-        # The reference loop evaluates through ``self.evaluator`` exactly as
-        # the historical per-image loop did (one scalar call per image); a
-        # single closed-loop tenant offers no cross-request batching anyway,
-        # and this keeps the simulator compatible with any PlanEvaluator.
+        # An evaluator with a batch API streams through the array engine,
+        # bit-identical to the reference loop by the serving parity contract;
+        # any other PlanEvaluator keeps the per-image reference loop.
+        mode = "batched" if hasattr(self.evaluator, "evaluate_plans") else "reference"
         report = ServingSimulator(self.evaluator).run(
-            [tenant], start_s=start_time_s, mode="reference"
+            [tenant], start_s=start_time_s, mode=mode
         )
         outcome = report.tenants[0]
         return StreamingResult(

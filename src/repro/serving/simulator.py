@@ -182,7 +182,8 @@ class ServingReport:
 
     @property
     def slo_violations(self) -> List[str]:
-        """Names of tenants whose miss rate exceeded their SLO target."""
+        """Names of tenants whose miss rate over offered load (late, rejected,
+        denied, shed and abandoned arrivals) exceeded their SLO target."""
         return [t.name for t in self.tenants if not t.slo_satisfied]
 
     def to_dict(self) -> Dict:

@@ -295,10 +295,23 @@ class TenantReport:
 
     @property
     def slo_satisfied(self) -> bool:
-        """Whether the miss rate stayed within the SLO's target."""
-        if self.slo is None:
+        """Whether the miss rate over *offered* load stayed within target.
+
+        Every arrival that did not complete within its deadline counts
+        against the SLO: late completions, queue rejections, admission
+        denials, shed arrivals and abandoned retry chains alike — so a
+        tenant that is refused everything fails its SLO.
+        """
+        if self.slo is None or not self.num_arrivals:
             return True
-        return self.deadline_miss_rate <= self.slo.target_miss_rate
+        missed = (
+            int(np.count_nonzero(self.deadline_missed))
+            + self.num_rejected
+            + self.num_denied
+            + self.num_shed
+            + self.num_abandoned
+        )
+        return missed / self.num_arrivals <= self.slo.target_miss_rate
 
     @property
     def max_queue_depth(self) -> int:

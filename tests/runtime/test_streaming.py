@@ -9,6 +9,7 @@ from repro.devices.specs import make_cluster
 from repro.network.topology import NetworkModel
 from repro.nn import model_zoo
 from repro.nn.splitting import SplitDecision
+from repro.runtime.batch import BatchPlanEvaluator
 from repro.runtime.evaluator import PlanEvaluator
 from repro.runtime.plan import DistributionPlan
 from repro.runtime.streaming import StreamingSimulator
@@ -130,3 +131,100 @@ class TestStreaming:
             StreamingSimulator(evaluator).run(plan, num_images=0)
         with pytest.raises(ValueError):
             StreamingSimulator(evaluator).run_duration(plan, duration_s=0)
+
+
+def _assert_results_identical(fast, reference):
+    """Bit-for-bit equality of two :class:`StreamingResult` objects."""
+    for name in ("per_image_latency_ms", "image_start_s"):
+        a, b = getattr(fast, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert fast.total_time_s == reference.total_time_s
+    assert fast.method == reference.method
+    assert fast.replan_times_s == reference.replan_times_s
+
+
+class TestArrayEngineStreaming:
+    """A batch evaluator streams through the array engine, bit-identical to
+    the per-image reference loop a scalar evaluator runs."""
+
+    @staticmethod
+    def _both(devices, network, run):
+        fast = run(StreamingSimulator(BatchPlanEvaluator(devices, network)))
+        reference = run(StreamingSimulator(PlanEvaluator(devices, network)))
+        _assert_results_identical(fast, reference)
+        return fast
+
+    @staticmethod
+    def _split_plan(model, devices):
+        boundaries = [0, 6, model.num_spatial_layers]
+        volumes = model.partition(boundaries)
+        return DistributionPlan(
+            model, devices, boundaries,
+            [SplitDecision.equal(len(devices), v.output_height) for v in volumes],
+        )
+
+    def test_batch_evaluator_skips_the_reference_loop(self, model, monkeypatch):
+        from repro.serving.simulator import ServingSimulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("streamed through the reference loop")
+
+        monkeypatch.setattr(ServingSimulator, "_run_reference", refuse)
+        devices = make_cluster([("nano", 100), ("nano", 100)])
+        network = NetworkModel.constant_from_devices(devices)
+        plan = DistributionPlan.single_device(model, devices, 0)
+        result = StreamingSimulator(BatchPlanEvaluator(devices, network)).run(plan, num_images=5)
+        assert result.num_images == 5
+        with pytest.raises(AssertionError, match="reference loop"):
+            StreamingSimulator(PlanEvaluator(devices, network)).run(plan, num_images=5)
+
+    def test_constant_network(self, model):
+        devices = make_cluster([("xavier", 100), ("nano", 100)])
+        network = NetworkModel.constant_from_devices(devices)
+        plan = self._split_plan(model, devices)
+        result = self._both(
+            devices, network, lambda sim: sim.run(plan, num_images=200, start_time_s=1.5)
+        )
+        assert result.num_images == 200
+
+    def test_dynamic_trace_with_gap(self, model):
+        devices = make_cluster([("nano", 70)] * 2)
+        network = NetworkModel.from_devices(devices, kind="dynamic", seed=0)
+        plan = self._split_plan(model, devices)
+        result = self._both(
+            devices, network, lambda sim: StreamingSimulator(
+                sim.evaluator, extra_gap_ms=250.0
+            ).run(plan, num_images=300)
+        )
+        assert np.unique(result.per_image_latency_ms).size > 1
+
+    def test_max_duration(self, model):
+        devices = make_cluster([("nano", 70)] * 2)
+        network = NetworkModel.from_devices(devices, kind="dynamic", seed=1)
+        plan = self._split_plan(model, devices)
+        result = self._both(
+            devices, network, lambda sim: sim.run_duration(plan, duration_s=20.0)
+        )
+        assert result.total_time_s >= 20.0
+
+    def test_adaptation_hook(self, model):
+        devices = make_cluster([("xavier", 100), ("nano", 100)])
+        network = NetworkModel.from_devices(devices, kind="dynamic", seed=2)
+        plans = [
+            DistributionPlan.single_device(model, devices, 1, method="slow"),
+            DistributionPlan.single_device(model, devices, 0, method="fast"),
+            self._split_plan(model, devices),
+        ]
+
+        def hook(t, index, current, history):
+            # Depends on the clock, the image index and the latency history,
+            # so both loops must call it with the same arguments.
+            if index and index % 7 == 0:
+                return plans[(index + len(history) + int(t)) % len(plans)]
+            return None
+
+        result = self._both(
+            devices, network,
+            lambda sim: sim.run(plans[0], num_images=60, adaptation_hook=hook),
+        )
+        assert result.replan_times_s

@@ -9,6 +9,8 @@ series and all — under every dispatch discipline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,55 @@ def test_denials_survive_to_dict(fleet, model):
     per_tenant = {t["name"]: t for t in payload["tenants"]}
     for tenant in gated.tenants:
         assert per_tenant[tenant.name]["num_denied"] == tenant.num_denied
+
+
+@pytest.mark.parametrize("mode", ["reference", "batched"])
+def test_tenant_denied_everything_fails_its_slo(fleet, model, mode):
+    """The SLO verdict counts refusals: a tenant whose deadline is shorter
+    than its service time is denied every request, completes nothing, and
+    must be listed as a violation — not pass on an empty miss rate."""
+    devices, network = fleet
+    plan = DistributionPlan.single_device(model, devices, 0)
+    service_ms = PlanEvaluator(devices, network).evaluate(plan).end_to_end_ms
+    tenants = [
+        TenantSpec(
+            "hopeless",
+            plan,
+            traffic=PoissonArrivals(50.0, seed=21),
+            slo=SLO(deadline_ms=0.5 * service_ms, target_miss_rate=0.5),
+        ),
+        TenantSpec(
+            "fine",
+            DistributionPlan.single_device(model, devices, 1),
+            traffic=PoissonArrivals(20.0, seed=22),
+            slo=SLO(deadline_ms=10.0 * service_ms),
+        ),
+    ]
+    evaluator = BatchPlanEvaluator(devices, network)
+    report = ServingSimulator(evaluator).run(
+        tenants, duration_s=1.0, mode=mode, policy=ClusterPolicy(admission="predictive")
+    )
+    hopeless = report.tenant("hopeless")
+    assert hopeless.num_arrivals > 0
+    assert hopeless.num_denied == hopeless.num_arrivals
+    assert hopeless.num_completed == 0
+    assert hopeless.deadline_miss_rate == 0.0  # over completed requests only
+    assert not hopeless.slo_satisfied
+    assert report.slo_violations == ["hopeless"]
+    assert report.to_dict()["slo_violations"] == ["hopeless"]
+
+
+def test_slo_verdict_is_over_offered_load(fleet, model):
+    """Refusals count toward the target exactly like late completions."""
+    gated = _run(fleet, model, ClusterPolicy(admission="predictive"))
+    tight = gated.tenant("tight")
+    assert tight.deadline_miss_rate == 0.0 and tight.num_denied > 0
+    offered_miss = tight.num_denied / tight.num_arrivals
+    at_target = replace(tight, slo=SLO(tight.slo.deadline_ms, target_miss_rate=offered_miss))
+    assert at_target.slo_satisfied
+    below = replace(tight, slo=SLO(tight.slo.deadline_ms, target_miss_rate=0.99 * offered_miss))
+    assert not below.slo_satisfied
+    assert gated.tenant("noslo").slo_satisfied
 
 
 def test_requeue_defers_or_denies(fleet, model):
